@@ -23,7 +23,7 @@ from . import clinalg, io
 from .determinant import central_charpoly, central_det
 from .errors import BiquatError, DimensionError
 from .matrix import BqMatrix
-from .scalar import format_biquaternion, parse_biquaternion
+from .scalar import format_biquaternion, format_complex, parse_biquaternion
 from .spectral import (
     diagonalizable,
     regular_right_eigenpair,
@@ -46,14 +46,9 @@ def _tolerance() -> float:
     return tol
 
 
-def _fmt(z: complex) -> str:
-    re, im = z.real + 0.0, z.imag + 0.0  # +0.0 folds away negative zeros
-    return f"{re:.{DIGITS}g}{im:+.{DIGITS}g}i"
-
-
 def _print_cmatrix(m: np.ndarray) -> None:
     for row in m:
-        print(" ".join(_fmt(z) for z in row))
+        print(" ".join(format_complex(z, DIGITS) for z in row))
 
 
 def _load(path: str) -> BqMatrix:
@@ -88,21 +83,21 @@ def cmd_rank(args) -> int:
 
 
 def cmd_det(args) -> int:
-    print(_fmt(central_det(_load(args.matrix))))
+    print(format_complex(central_det(_load(args.matrix)), DIGITS))
     return 0
 
 
 def cmd_charpoly(args) -> int:
     p = central_charpoly(_load(args.matrix))
     for k, c in enumerate(p.coef):
-        print(f"lambda^{k}: {_fmt(complex(c))}")
+        print(f"lambda^{k}: {format_complex(complex(c), DIGITS)}")
     return 0
 
 
 def cmd_eig(args) -> int:
     pairs = right_eigenpairs(_load(args.matrix))
     for pair in pairs:
-        print(f"lambda = {_fmt(pair.value)}  residual = {pair.residual:.3e}")
+        print(f"lambda = {format_complex(pair.value, DIGITS)}  residual = {pair.residual:.3e}")
         if args.vectors:
             for i in range(pair.vector.rows):
                 print(f"  x[{i}] = {format_biquaternion(pair.vector.entry(i, 0), DIGITS)}")
@@ -138,7 +133,7 @@ def _print_fingerprint(label: str, rep: np.ndarray, tol: float) -> None:
     # users audit borderline verdicts near multiple eigenvalues.
     print(f"fingerprint {label}:")
     for lam, weyr in clinalg.jordan_fingerprint(rep, tol):
-        print(f"  eigenvalue {_fmt(lam)}  weyr {','.join(map(str, weyr))}")
+        print(f"  eigenvalue {format_complex(lam, DIGITS)}  weyr {','.join(map(str, weyr))}")
 
 
 def cmd_similar(args) -> int:
@@ -154,7 +149,7 @@ def cmd_diagonalizable(args) -> int:
     a = _load(args.matrix)
     verdict = diagonalizable(a, _tolerance())
     print("diagonalizable" if verdict else "not diagonalizable")
-    _print_fingerprint("entrywise representation", a.interleaved_repr(), _tolerance())
+    _print_fingerprint("block representation", a.block_repr(), _tolerance())
     return 0
 
 

@@ -3,15 +3,19 @@
 Every higher-level question about biquaternion matrices is lowered to one of
 the routines here (all operating on plain 2-D ``numpy`` arrays of
 ``complex128``): determinant, SVD-based rank and pseudoinverse,
-eigendecomposition, characteristic polynomial, and Jordan-structure probing
-via generalized nullities (Weyr characteristics).
+eigendecomposition, characteristic polynomial, and the spectral structure
+behind similarity (:func:`spectral_clusters`).
 
 Factorizations are delegated to LAPACK through ``numpy.linalg``; the
 characteristic polynomial uses the Faddeev-LeVerrier recursion, which is
-exact for integer-valued inputs at desk scale.
+exact for integer-valued inputs at desk scale.  Spectral structure costs one
+eigendecomposition per matrix, plus SVDs only for repeated eigenvalue
+clusters.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -24,9 +28,6 @@ DEFAULT_TOL = 1e-10
 # Eigenvalue clustering gap, relative to the matrix scale (Frobenius norm,
 # which dominates the spectral radius and stays usable for nilpotent input).
 CLUSTER_TOL = 1e-7
-
-# A polynomial is held with coefficients in ascending degree order.
-CPolynomial = Polynomial
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -43,14 +44,6 @@ def _require_square(m: np.ndarray) -> int:
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m.shape[0]
-
-
-def mul(a, b) -> np.ndarray:
-    """Matrix product with explicit conformance check."""
-    a, b = as_cmatrix(a), as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def det(a) -> complex:
@@ -134,16 +127,6 @@ def eigvals(a) -> np.ndarray:
     return w[np.lexsort((w.imag, w.real))]
 
 
-def generalized_nullity(a, lam: complex, k: int, tol: float = DEFAULT_TOL) -> int:
-    """Dimension of the kernel of ``(a - lam*I)**k``."""
-    m = as_cmatrix(a)
-    n = _require_square(m)
-    if k < 1:
-        raise ValueError("power k must be >= 1")
-    shifted = m - lam * np.eye(n)
-    return n - rank(np.linalg.matrix_power(shifted, k), tol)
-
-
 def charpoly(a) -> Polynomial:
     """Monic characteristic polynomial via the Faddeev-LeVerrier recursion.
 
@@ -172,10 +155,11 @@ def matrix_scale(a) -> float:
 
 
 def cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Group eigenvalues into clusters of diameter <= ``gap`` per link.
+    """Group eigenvalues into clusters, returned as arrays of indices into ``w``.
 
     Single-linkage on the sorted values: two eigenvalues land in the same
-    cluster whenever a chain of gaps of at most ``gap`` connects them.
+    cluster whenever a chain of gaps of at most ``gap`` connects them.  Each
+    index array is ascending.
     """
     w = np.asarray(w, dtype=complex)
     if w.size == 0:
@@ -195,7 +179,63 @@ def cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
                     remaining.remove(idx)
                     changed = True
         clusters.append(np.array(sorted(members)))
-    return [w[c] for c in clusters]
+    return clusters
+
+
+class Cluster(NamedTuple):
+    """One eigenvalue cluster of a square matrix ``a``."""
+
+    value: complex  # mean of the clustered eigenvalues
+    weyr: tuple[int, ...]  # nullities of (a - value*I)**k, k = 1, 2, ...
+    basis: np.ndarray  # orthonormal columns spanning the numerical kernel
+
+
+def spectral_clusters(
+    a, tol: float = DEFAULT_TOL, cluster_tol: float = CLUSTER_TOL
+) -> list[Cluster]:
+    """Eigenvalue clusters with their Weyr characteristics and eigenvectors.
+
+    One eigendecomposition yields the spectrum; eigenvalues closer than
+    ``cluster_tol`` times the matrix scale are merged.  A cluster of one
+    eigenvalue has Weyr characteristic ``(1,)`` and its unit eigenvector as
+    basis.  For a repeated cluster, one SVD of the shifted matrix gives the
+    first nullity and the kernel basis, and powers of the shifted matrix give
+    the later nullities; the sequence stops once it reaches the cluster's
+    algebraic multiplicity or stops growing.  A shifted matrix whose largest
+    singular value is at most ``tol`` times the scale counts as zero (full
+    kernel).  Clusters are sorted by (real, imag) of their value.
+    """
+    m = as_cmatrix(a)
+    n = _require_square(m)
+    if n == 0:
+        return []
+    w, v = eig(m)
+    scale = max(matrix_scale(m), float(np.max(np.abs(w))), 1e-300)
+    out = []
+    for idx in cluster_eigenvalues(w, cluster_tol * scale):
+        if idx.size == 1:
+            out.append(Cluster(complex(w[idx[0]]), (1,), v[:, idx]))
+            continue
+        lam = complex(np.mean(w[idx]))
+        shifted = m - lam * np.eye(n)
+        _, s, vh = svd(shifted)
+        if s[0] <= tol * scale:
+            out.append(Cluster(lam, (n,), np.eye(n, dtype=complex)))
+            continue
+        keep = s <= tol * s[0]
+        weyr = [int(np.count_nonzero(keep))]
+        if not weyr[0]:
+            keep[-1] = True  # wide cluster: best available near-kernel vector
+        power = shifted
+        while weyr[-1] < idx.size:
+            power = power @ shifted
+            nullity = n - rank(power, tol)
+            if nullity <= weyr[-1]:
+                break
+            weyr.append(nullity)
+        out.append(Cluster(lam, tuple(weyr), vh[keep].conj().T))
+    out.sort(key=lambda c: (c.value.real, c.value.imag))
+    return out
 
 
 def jordan_fingerprint(
@@ -204,39 +244,15 @@ def jordan_fingerprint(
     """Eigenvalue clusters with their Weyr characteristics.
 
     Returns ``[(lam, (nu_1, nu_2, ...)), ...]`` where ``nu_k`` is the
-    nullity of ``(a - lam*I)**k``; the sequence is truncated once it reaches
-    the cluster's algebraic multiplicity.  Two matrices are similar exactly
-    when their fingerprints match under eigenvalue pairing within tolerance
-    (see :func:`fingerprints_match`).
+    nullity of ``(a - lam*I)**k`` (see :func:`spectral_clusters`).  Two
+    matrices are similar exactly when their fingerprints match under
+    eigenvalue pairing within tolerance (see :func:`fingerprints_match`).
 
     Jordan structure is discontinuous, so the clustering step is a
     documented heuristic: eigenvalues closer than ``cluster_tol`` times the
     matrix scale are merged.
     """
-    m = as_cmatrix(a)
-    n = _require_square(m)
-    if n == 0:
-        return []
-    w = eigvals(m)
-    gap = cluster_tol * max(matrix_scale(m), np.max(np.abs(w)), 1e-300)
-    out = []
-    for cluster in cluster_eigenvalues(w, gap):
-        lam = complex(np.mean(cluster))
-        mult = len(cluster)
-        shifted = m - lam * np.eye(n)
-        power = np.eye(n, dtype=complex)
-        weyr: list[int] = []
-        for _ in range(n):
-            power = power @ shifted
-            nullity = n - rank(power, tol)
-            if weyr and nullity <= weyr[-1]:
-                break
-            weyr.append(nullity)
-            if nullity >= mult:
-                break
-        out.append((lam, tuple(weyr)))
-    out.sort(key=lambda item: (item[0].real, item[0].imag))
-    return out
+    return [(c.value, c.weyr) for c in spectral_clusters(a, tol, cluster_tol)]
 
 
 def fingerprints_match(

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import TypeAlias
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import clinalg
 from .errors import NotTriangularError
@@ -52,7 +53,7 @@ def central_det_sqrt(a: BqMatrix) -> complex:
     return principal_sqrt(central_det(a))
 
 
-def central_charpoly(a: BqMatrix) -> clinalg.CPolynomial:
+def central_charpoly(a: BqMatrix) -> Polynomial:
     """Monic characteristic polynomial of the block representation
     (degree 2n, ascending coefficients)."""
     a._require_square()

@@ -300,8 +300,9 @@ class BqMatrix:
         m = clinalg.as_cmatrix(m)
         if m.shape[0] % 2 or m.shape[1] % 2:
             raise DimensionError(f"interleaved representation must have even dims, got {m.shape}")
-        g, h = shuffle_permutations(m.shape[0] // 2, m.shape[1] // 2)
-        return cls.from_block_repr(g.T @ m @ h.T)
+        return cls.from_block_repr(
+            np.block([[m[0::2, 0::2], m[0::2, 1::2]], [m[1::2, 0::2], m[1::2, 1::2]]])
+        )
 
     # -- lowered computations ----------------------------------------------------------
 

@@ -27,8 +27,6 @@ from .errors import DegenerateWitnessError, DimensionError, NotInvertibleError
 # is complex-valued and can be small without vanishing.
 ZERO_DIVISOR_TOL = 1e-12
 
-_WITNESS_TOL = 1e-10
-
 
 def principal_sqrt(z: complex) -> complex:
     """Complex square root on the branch Re >= 0 (Im >= 0 when Re == 0)."""
@@ -333,7 +331,8 @@ def format_complex(z: complex, digits: int | None = None) -> str:
         re, im = repr(z.real), repr(z.imag)
         sign = "" if im.startswith("-") else "+"
         return f"{re}{sign}{im}i"
-    return f"{z.real:.{digits}g}{z.imag:+.{digits}g}i"
+    re, im = z.real + 0.0, z.imag + 0.0  # +0.0 folds away negative zeros
+    return f"{re:.{digits}g}{im:+.{digits}g}i"
 
 
 def format_biquaternion(a: Biquaternion, digits: int | None = None) -> str:

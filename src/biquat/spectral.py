@@ -3,12 +3,13 @@ biquaternion matrices.
 
 The right eigenvalue equation is ``A @ X == X * lam`` for a nonzero column
 ``X`` (order matters: the algebra is noncommutative).  Everything here is
-computed on the complex representations: the eigenvalues of the block
-representation are exactly the complex right eigenvalues of ``A``, each
-eigenvector ``Y`` of the block representation lifts through the frame to a
-quaternion eigenvector ``X``, and two matrices are similar over the algebra
-exactly when their block representations are similar over the complex
-numbers (equal Jordan fingerprints).
+computed on the block representation: its eigenvalues are exactly the
+complex right eigenvalues of ``A``, each of its eigenvectors ``Y`` lifts
+through the frame to a quaternion eigenvector ``X``, and two matrices are
+similar over the algebra exactly when their block representations are
+similar over the complex numbers (equal Jordan fingerprints).  Similarity,
+diagonalizability, similarity to a complex matrix and regular eigenpairs all
+read the one spectral structure of :func:`clinalg.spectral_clusters`.
 
 A *regular* right eigenpair is one whose eigenvector has rank 1 as a
 quaternion column (block-representation rank 2); its eigenvalue is a full
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import clinalg
 from .errors import DimensionError, InvalidPairError, RankDeficientLiftError
-from .matrix import BqMatrix, recon_frame
+from .matrix import BqMatrix
 from .scalar import Biquaternion, CanonicalCase
 
 
@@ -101,33 +102,6 @@ def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
     return pairs
 
 
-def _eigen_clusters(rep: np.ndarray, tol: float):
-    """Cluster the spectrum and attach an orthonormal kernel basis (the
-    numerically reliable eigenvectors) to each cluster."""
-    n = rep.shape[0]
-    w = clinalg.eigvals(rep)
-    scale = max(clinalg.matrix_scale(rep), float(np.max(np.abs(w))), 1e-300)
-    gap = clinalg.CLUSTER_TOL * scale
-    clusters = []
-    for values in clinalg.cluster_eigenvalues(w, gap):
-        lam = complex(np.mean(values))
-        shifted = rep - lam * np.eye(n)
-        s_vals = clinalg.singular_values(shifted)
-        if s_vals[0] <= tol * scale:
-            basis = np.eye(n, dtype=complex)  # shifted matrix is (near) zero
-        else:
-            _, s, vh = clinalg.svd(shifted)
-            keep = s <= tol * s_vals[0]
-            if not np.any(keep):
-                keep[-1] = True  # wide cluster: best available near-kernel vector
-            basis = _normalize_phases(vh[keep].conj().T)
-        clusters.append((lam, len(values), basis))
-    # Descending by (real, imag): the dominant eigenvalue leads, which keeps
-    # small worked examples in their familiar orientation.
-    clusters.sort(key=lambda c: (c[0].real, c[0].imag), reverse=True)
-    return clusters
-
-
 def regular_right_eigenpair(
     a: BqMatrix, tol: float = clinalg.DEFAULT_TOL
 ) -> RegularEigenPair:
@@ -147,14 +121,14 @@ def regular_right_eigenpair(
     if n < 1:
         raise DimensionError("empty matrix has no eigenpairs")
     rep = a.block_repr()
-    clusters = _eigen_clusters(rep, tol)
+    # Descending by (real, imag): the dominant eigenvalue leads, which keeps
+    # small worked examples in their familiar orientation.
+    clusters = [
+        c._replace(basis=_normalize_phases(c.basis))
+        for c in reversed(clinalg.spectral_clusters(rep, tol))
+    ]
 
-    candidates: list[tuple[complex, np.ndarray]] = []
-    for lam, _, basis in clusters:
-        for k in range(basis.shape[1]):
-            candidates.append((lam, basis[:, k]))
-
-    if len(candidates) >= 2:
+    if sum(c.basis.shape[1] for c in clusters) >= 2:
         orderings = _pair_orderings(clusters)
         for (lam1, y1), (lam2, y2) in orderings:
             m = np.column_stack([y1, y2])
@@ -168,8 +142,8 @@ def regular_right_eigenpair(
         raise RankDeficientLiftError("no eigenvector pairing produced a rank-1 lift")
 
     # Totally defective: one cluster, geometric multiplicity 1.
-    lam1, _, basis = clusters[0]
-    y1 = basis[:, 0]
+    lam1 = clusters[0].value
+    y1 = clusters[0].basis[:, 0]
     shifted = rep - lam1 * np.eye(2 * n)
     y2, *_ = np.linalg.lstsq(shifted, y1, rcond=None)
     m = np.column_stack([y1, y2])
@@ -270,12 +244,14 @@ def similar(a: BqMatrix, b: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> bool:
 def diagonalizable(a: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> bool:
     """True when the matrix is similar to a diagonal matrix over the algebra.
 
-    Holds exactly when no Jordan block of the interleaved representation
-    exceeds size 2, i.e. the second generalized nullity of every eigenvalue
-    already equals its algebraic multiplicity.
+    Holds exactly when no Jordan block of the block representation exceeds
+    size 2 (each diagonal entry's 2x2 image is one block of size 2 at most),
+    i.e. the second generalized nullity of every eigenvalue already equals
+    its algebraic multiplicity.  The interleaved representation is
+    permutation-similar to the block one, so it has the same blocks.
     """
     a._require_square()
-    fp = clinalg.jordan_fingerprint(a.interleaved_repr(), tol)
+    fp = clinalg.jordan_fingerprint(a.block_repr(), tol)
     for _, weyr in fp:
         mult = weyr[-1]
         nu2 = weyr[1] if len(weyr) > 1 else weyr[0]

@@ -17,24 +17,6 @@ def random_cmatrix(rng, m, n, integer=False):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 
 
-class TestMul:
-    def test_identity(self):
-        m = np.array([[1 + 2j, 3], [0, -1j]])
-        np.testing.assert_array_equal(clinalg.mul(I2, m), m)
-
-    def test_pauli_product(self):
-        # e1 * e2 = e3 carries over to the 2x2 images
-        np.testing.assert_array_equal(clinalg.mul(PAULI1, PAULI2), PAULI3)
-
-    def test_scalar_case(self):
-        out = clinalg.mul([[2 + 1j]], [[3]])
-        np.testing.assert_array_equal(out, [[6 + 3j]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            clinalg.mul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 class TestDet:
     def test_identity(self):
         assert clinalg.det(np.eye(3)) == 1
@@ -147,21 +129,6 @@ class TestEig:
         assert list(w) == sorted(w, key=lambda z: (z.real, z.imag))
 
 
-class TestGeneralizedNullity:
-    def test_full_shift(self):
-        assert clinalg.generalized_nullity(np.eye(3), 1.0, 1) == 3
-
-    def test_nilpotent_first_power(self):
-        assert clinalg.generalized_nullity(NILP, 0.0, 1) == 1
-
-    def test_nilpotent_second_power(self):
-        assert clinalg.generalized_nullity(NILP, 0.0, 2) == 2
-
-    def test_bad_power(self):
-        with pytest.raises(ValueError):
-            clinalg.generalized_nullity(NILP, 0.0, 0)
-
-
 class TestCharpoly:
     def test_identity(self):
         p = clinalg.charpoly(I2)
@@ -206,12 +173,57 @@ class TestJordanFingerprint:
         gap = clinalg.CLUSTER_TOL * np.linalg.norm(a)
         assert clinalg.fingerprints_match(fa, fb, gap)
 
+    @pytest.mark.parametrize("c", [0.1 + 0.2j, 0.3 + 0.7j, 1 / 3])
+    @pytest.mark.parametrize("n", [3, 5, 6, 7])
+    def test_scalar_multiple_of_identity(self, c, n):
+        # the cluster mean rounds, so the shifted matrix is a tiny nonzero
+        # diagonal; it must still count as zero (full kernel)
+        [(lam, weyr)] = clinalg.jordan_fingerprint(c * np.eye(n))
+        assert abs(lam - c) <= 1e-15 and weyr == (n,)
+
     def test_mismatch_on_shift(self, rng):
         a = random_cmatrix(rng, 3, 3, integer=True)
         fa = clinalg.jordan_fingerprint(a)
         fb = clinalg.jordan_fingerprint(a + np.eye(3))
         gap = clinalg.CLUSTER_TOL * np.linalg.norm(a)
         assert not clinalg.fingerprints_match(fa, fb, gap)
+
+
+class TestSpectralClusters:
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(clinalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(clinalg, name, counted)
+        return calls
+
+    def test_one_eig_and_no_svd_for_simple_eigenvalues(self, monkeypatch, rng):
+        a = random_cmatrix(rng, 6, 6)
+        eigs = self._count(monkeypatch, "eig")
+        svds = self._count(monkeypatch, "svd") + self._count(monkeypatch, "singular_values")
+        clusters = clinalg.spectral_clusters(a)
+        assert len(eigs) == 1 and not svds
+        assert [c.weyr for c in clusters] == [(1,)] * 6
+        for c in clusters:
+            y = c.basis[:, 0]
+            assert np.linalg.norm(a @ y - c.value * y) <= 1e-12 * np.linalg.norm(a)
+
+    def test_repeated_cluster_kernel_basis(self, monkeypatch):
+        # J2(3) + J1(3) + J1(5): nu = (2, 3) at 3, kernel spanned by e0, e2
+        a = np.diag([3.0, 3.0, 3.0, 5.0]).astype(complex)
+        a[0, 1] = 1.0
+        eigs = self._count(monkeypatch, "eig")
+        (three, five) = clinalg.spectral_clusters(a)
+        assert len(eigs) == 1
+        assert three.weyr == (2, 3) and five.weyr == (1,)
+        basis = three.basis
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(a @ basis, 3 * basis, atol=1e-12)
 
 
 class TestWeyrBlocks:

@@ -15,6 +15,7 @@ from biquat import (
     principal_sqrt,
     sampling,
 )
+from biquat.scalar import format_complex
 from conftest import bq_close
 
 ZERO = Biquaternion()
@@ -323,6 +324,10 @@ class TestTextForm:
     def test_render(self):
         text = format_biquaternion(Biquaternion(1, 2j, -3, 0.5 + 0.5j))
         assert text == "(1.0+0.0i) + (0.0+2.0i)e1 + (-3.0+0.0i)e2 + (0.5+0.5i)e3"
+
+    def test_render_digits_folds_negative_zero(self):
+        assert format_complex(complex(-0.0, -0.0), 17) == "0+0i"
+        assert format_complex(complex(-1.5, -0.0), 17) == "-1.5+0i"
 
     def test_roundtrip(self, rng):
         for _ in range(50):

@@ -252,6 +252,12 @@ class TestSimilarToComplex:
         assert ok
         assert sorted(np.diag(j), key=lambda z: z.imag) == [-1j, 1j]
 
+    @pytest.mark.parametrize("c", [0.1 + 0.2j, 1 / 3])
+    def test_scalar_multiple_of_identity(self, c):
+        ok, j = similar_to_complex(BqMatrix.identity(3) * c)
+        assert ok
+        np.testing.assert_allclose(j, c * np.eye(3), atol=1e-15)
+
     def test_jordan_witness_structure(self):
         # doubled nilpotent 2-block: J should be one 2-block
         rep = np.zeros((4, 4), dtype=complex)
