@@ -5,7 +5,7 @@ file argument or stdin (``-``).  Complex numbers are printed as ``re+imi``
 with 17 significant digits, enough for a bit-exact double round trip.
 
 Exit codes: 0 success, 1 input parse error, 2 dimension error, 3 numerical
-failure (singular input, non-convergence, failed verification).
+failure (singular input, non-convergence, overflow, failed verification).
 
 The environment variable ``BIQUAT_TOL`` overrides the default relative
 tolerance used for rank decisions, inversion, and pseudoinversion.
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: parse: {args.command}: {exc}", file=sys.stderr)
         return 1
-    except BiquatError as exc:
+    except (BiquatError, ArithmeticError) as exc:
         print(f"error: numerical: {args.command}: {exc}", file=sys.stderr)
         return 3
 

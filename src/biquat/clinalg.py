@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError, DimensionError
 
@@ -201,9 +200,12 @@ def spectral_clusters(
     basis.  For a repeated cluster, one SVD of the shifted matrix gives the
     first nullity and the kernel basis, and powers of the shifted matrix give
     the later nullities; the sequence stops once it reaches the cluster's
-    algebraic multiplicity or stops growing.  A shifted matrix whose largest
-    singular value is at most ``tol`` times the scale counts as zero (full
-    kernel).  Clusters are sorted by (real, imag) of their value.
+    algebraic multiplicity or stops growing.  A singular value of the k-th
+    power counts as zero when at most ``tol * s_max**k`` (``s_max`` of the
+    shifted matrix), so a power that is only rounding noise has a full
+    kernel.  A shifted matrix whose largest singular value is at most ``tol``
+    times the scale counts as zero (full kernel).  Clusters are sorted by
+    (real, imag) of their value.
     """
     m = as_cmatrix(a)
     n = _require_square(m)
@@ -222,14 +224,15 @@ def spectral_clusters(
         if s[0] <= tol * scale:
             out.append(Cluster(lam, (n,), np.eye(n, dtype=complex)))
             continue
-        keep = s <= tol * s[0]
+        bound = tol * float(s[0])  # a Python float overflows to inf quietly
+        keep = s <= bound
         weyr = [int(np.count_nonzero(keep))]
         if not weyr[0]:
             keep[-1] = True  # wide cluster: best available near-kernel vector
         power = shifted
         while weyr[-1] < idx.size:
-            power = power @ shifted
-            nullity = n - rank(power, tol)
+            power, bound = power @ shifted, bound * float(s[0])
+            nullity = int(np.count_nonzero(singular_values(power) <= bound))
             if nullity <= weyr[-1]:
                 break
             weyr.append(nullity)
@@ -265,6 +268,7 @@ def fingerprints_match(
     Uses optimal assignment on eigenvalue distances so near-ties in the sort
     order cannot produce spurious mismatches.
     """
+    from scipy.optimize import linear_sum_assignment  # slow import, only needed here
     if len(fa) != len(fb):
         return False
     if not fa:

@@ -85,21 +85,19 @@ def cayley_hamilton_residual(a: BqMatrix) -> float:
     return acc.norm()
 
 
-def triangular_central_det(a: BqMatrix, tol: float = 1e-10) -> CentralDet:
+def triangular_central_det(a: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> CentralDet:
     """Central determinant of a triangular matrix: the product of the weak
     norms of its diagonal entries.
 
     Raises:
         NotTriangularError: if the matrix is neither upper nor lower
-            triangular within tolerance.
+            triangular within ``tol`` times its norm.
     """
     n = a._require_square()
     c = a.components
-    scale = tol * (1.0 + a.norm())
-    lower = np.tril_indices(n, k=-1)
-    upper = np.triu_indices(n, k=1)
-    is_upper = bool(np.all(np.abs(c[:, lower[0], lower[1]]) <= scale))
-    is_lower = bool(np.all(np.abs(c[:, upper[0], upper[1]]) <= scale))
+    scale = tol * a.norm()
+    is_upper = bool(np.all(np.abs(np.tril(c, -1)) <= scale))
+    is_lower = bool(np.all(np.abs(np.triu(c, 1)) <= scale))
     if not (is_upper or is_lower):
         raise NotTriangularError("matrix is not triangular within tolerance")
     out = 1 + 0j

@@ -180,10 +180,11 @@ class BqMatrix:
     def __hash__(self):
         return hash((self.shape, self._c.tobytes()))
 
-    def allclose(self, other: "BqMatrix", tol: float = 1e-10) -> bool:
+    def allclose(self, other: "BqMatrix", tol: float = clinalg.DEFAULT_TOL) -> bool:
+        """Componentwise equality within ``tol`` times the larger norm."""
         if self.shape != other.shape:
             return False
-        scale = 1.0 + max(self.norm(), other.norm())
+        scale = max(self.norm(), other.norm())
         return bool(np.all(np.abs(self._c - other._c) <= tol * scale))
 
     def norm(self) -> float:
@@ -329,11 +330,11 @@ class BqMatrix:
         """Half of the block representation's numerical rank, kept exact."""
         return HalfRank(clinalg.rank(self.block_repr(), tol))
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
+    def is_hermitian(self, tol: float = clinalg.DEFAULT_TOL) -> bool:
         self._require_square()
         return self.allclose(self.hconj(), tol)
 
-    def is_unitary(self, tol: float = 1e-10) -> bool:
+    def is_unitary(self, tol: float = clinalg.DEFAULT_TOL) -> bool:
         n = self._require_square()
         ident = BqMatrix.identity(n)
         return (self @ self.hconj()).allclose(ident, tol) and (

@@ -9,10 +9,15 @@ The algebra is isomorphic to the full 2x2 complex matrix algebra; the
 isomorphism (:meth:`Biquaternion.as_complex_matrix` and its inverse) is the
 workhorse for everything nontrivial here: pseudoinverse, canonical forms
 under similarity, and the similarity witnesses themselves.
+
+The image of an element is the block representation of its 1x1 matrix, so
+each tolerance decision here applies the matrix layer's rule for the same
+question (rank, full kernel, eigenvalue clustering; see :mod:`clinalg`) to it.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import re
 from dataclasses import dataclass
@@ -22,10 +27,6 @@ import numpy as np
 
 from . import clinalg
 from .errors import DegenerateWitnessError, DimensionError, NotInvertibleError
-
-# Treat |weak norm| <= ZERO_DIVISOR_TOL * (1 + |a|**2) as zero: the weak norm
-# is complex-valued and can be small without vanishing.
-ZERO_DIVISOR_TOL = 1e-12
 
 
 def principal_sqrt(z: complex) -> complex:
@@ -65,7 +66,7 @@ class Biquaternion:
     def __post_init__(self):
         for name in ("a0", "a1", "a2", "a3"):
             z = complex(getattr(self, name))
-            if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+            if not cmath.isfinite(z):
                 raise ValueError(f"component {name} is not finite: {z!r}")
             object.__setattr__(self, name, z)
 
@@ -80,10 +81,11 @@ class Biquaternion:
         unrelated to the complex-valued weak norm)."""
         return float(np.sqrt(sum(abs(c) ** 2 for c in self.components)))
 
-    def is_complex(self, tol: float = ZERO_DIVISOR_TOL) -> bool:
-        """True when the e-part vanishes within tolerance."""
-        scale = 1.0 + self.norm()
-        return all(abs(c) <= tol * scale for c in (self.a1, self.a2, self.a3))
+    def is_complex(self, tol: float = clinalg.DEFAULT_TOL) -> bool:
+        """True when ``|e-part| <= tol * |a|``: the image minus ``a0*I`` is
+        negligible, the full-kernel rule of :func:`clinalg.spectral_clusters`."""
+        vec = abs(self.a1) ** 2 + abs(self.a2) ** 2 + abs(self.a3) ** 2
+        return vec <= tol**2 * (abs(self.a0) ** 2 + vec)
 
     def __bool__(self) -> bool:
         return any(c != 0 for c in self.components)
@@ -169,15 +171,15 @@ class Biquaternion:
         """
         return principal_sqrt(self.a1**2 + self.a2**2 + self.a3**2)
 
-    def inverse(self, tol: float = ZERO_DIVISOR_TOL) -> "Biquaternion":
+    def inverse(self, tol: float = clinalg.DEFAULT_TOL) -> "Biquaternion":
         """Two-sided inverse ``dual(a) / weak_norm(a)``.
 
         Raises:
-            NotInvertibleError: when the weak norm vanishes within tolerance
-                (the element is zero or a zero divisor).
+            NotInvertibleError: when the image has numerical rank below 2
+                (a zero divisor), exactly as the 1x1 :meth:`BqMatrix.inverse`.
         """
         n = self.weak_norm()
-        if abs(n) <= tol * (1.0 + self.norm() ** 2):
+        if clinalg.rank(self.as_complex_matrix(), tol) < 2:
             raise NotInvertibleError(f"weak norm {n!r} vanishes; element is not invertible")
         return self.dual() * (1.0 / n)
 
@@ -215,19 +217,18 @@ class Biquaternion:
     # -- similarity ------------------------------------------------------------
 
     def canonical_form(
-        self, tol: float = ZERO_DIVISOR_TOL
+        self, tol: float = clinalg.DEFAULT_TOL
     ) -> tuple["Biquaternion", CanonicalCase]:
         """Similarity canonical form of the element.
 
-        Central elements are their own form; otherwise ``a0 + tau*e1`` when
-        the vector magnitude ``tau`` is nonzero, and ``a0 - e2/2 + i*e3/2``
-        when the e-part is isotropic (``tau**2 == 0``).
+        Central elements are their own form; otherwise ``a0 + tau*e1``, or
+        ``a0 - e2/2 + i*e3/2`` when the e-part is isotropic: the image's
+        eigenvalues ``a0 +/- i*tau`` cluster, ``|2*tau| <= CLUSTER_TOL*sqrt(2)*|a|``.
         """
         if self.is_complex(tol):
             return self, CanonicalCase.COMPLEX
         tau_sq = self.a1**2 + self.a2**2 + self.a3**2
-        vec_scale = abs(self.a1) ** 2 + abs(self.a2) ** 2 + abs(self.a3) ** 2
-        if abs(tau_sq) <= tol * (1.0 + vec_scale):
+        if abs(tau_sq) <= 0.5 * (clinalg.CLUSTER_TOL * self.norm()) ** 2:
             return (
                 Biquaternion(self.a0, 0, -0.5, 0.5j),
                 CanonicalCase.NULL,
@@ -235,7 +236,7 @@ class Biquaternion:
         tau = principal_sqrt(tau_sq)
         return Biquaternion(self.a0, tau, 0, 0), CanonicalCase.GENERIC
 
-    def similarity_witness(self, tol: float = ZERO_DIVISOR_TOL) -> "Biquaternion":
+    def similarity_witness(self, tol: float = clinalg.DEFAULT_TOL) -> "Biquaternion":
         """Invertible ``p`` with ``p.inverse() * a * p`` equal to the canonical form.
 
         Constructed by diagonalizing (generic case) or Jordan-reducing (null
@@ -243,8 +244,8 @@ class Biquaternion:
         through the isomorphism.
 
         Raises:
-            DegenerateWitnessError: if every constructed candidate has
-                vanishing weak norm within tolerance.
+            DegenerateWitnessError: if the constructed witness's image is
+                numerically rank deficient.
         """
         form, case = self.canonical_form(tol)
         if case is CanonicalCase.COMPLEX or self == form:
@@ -254,11 +255,9 @@ class Biquaternion:
             s = self._null_reduction(m)
         else:
             s = self._generic_reduction(m, form)
-        for scale in (1.0, 2.0, 8.0):
-            p = Biquaternion.from_complex_matrix(scale * s)
-            if abs(p.weak_norm()) > tol * (1.0 + p.norm() ** 2):
-                return p
-        raise DegenerateWitnessError("all candidate witnesses are zero divisors")
+        if clinalg.rank(s, tol) < 2:
+            raise DegenerateWitnessError("the constructed witness is a zero divisor")
+        return Biquaternion.from_complex_matrix(s)
 
     def _generic_reduction(self, m: np.ndarray, form: "Biquaternion") -> np.ndarray:
         # Columns are eigenvectors for a0 + tau*i and a0 - tau*i, in that order.
@@ -283,16 +282,14 @@ class Biquaternion:
         w[col] = 1.0
         return np.column_stack([nil @ w, w])
 
-    def classify(self, tol: float = ZERO_DIVISOR_TOL) -> ScalarFlags:
+    def classify(self, tol: float = clinalg.DEFAULT_TOL) -> ScalarFlags:
         """Structural flags: real (``a.cconj() == a``), pure imaginary
         (``a.cconj() == -a``), scalar (``a.dual() == a``), Hermitian
-        (``a.hconj() == a``), each within componentwise tolerance."""
-        scale = tol * (1.0 + self.norm())
+        (``a.hconj() == a``), each componentwise within ``tol * |a|``."""
+        scale = tol * self.norm()
 
         def close(x: "Biquaternion", y: "Biquaternion") -> bool:
-            return all(
-                abs(cx - cy) <= scale for cx, cy in zip(x.components, y.components)
-            )
+            return all(abs(cx - cy) <= scale for cx, cy in zip(x.components, y.components))
 
         return ScalarFlags(
             real=close(self.cconj(), self),

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import biquat
 from biquat import E1, E2, Biquaternion, BqMatrix, io, sampling
 from biquat.cli import main
 
@@ -154,6 +159,25 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "inv", path)
         assert code == 3
         assert "numerical" in err
+
+    def test_overflow_is_numerical(self, capsys):
+        text = "(1e200+0i) + (1e200+0i)e1 + (0+0i)e2 + (0+0i)e3"
+        code, _, err = run_cli(capsys, "canonical", "--text", text)
+        assert code == 3
+        assert err.startswith("error: numerical:")
+
+
+class TestStartup:
+    def test_import_leaves_out_scipy_optimize(self):
+        # only the similarity verb needs scipy.optimize; the others should
+        # not pay for importing it
+        src = os.path.dirname(os.path.dirname(biquat.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, biquat; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestToleranceOverride:

@@ -181,6 +181,13 @@ class TestJordanFingerprint:
         [(lam, weyr)] = clinalg.jordan_fingerprint(c * np.eye(n))
         assert abs(lam - c) <= 1e-15 and weyr == (n,)
 
+    @pytest.mark.parametrize("c", [1.0, 0.1, 100.0, 1e-65, 1e83])
+    def test_jordan_block_at_any_scale(self, c):
+        # eig splits the double eigenvalue, so the square of the shifted
+        # matrix is rounding noise; it must still count as zero
+        [(lam, weyr)] = clinalg.jordan_fingerprint(c * np.array([[1 + 2j, 2], [2, 1 - 2j]]))
+        assert abs(lam - c) <= 1e-15 * c and weyr == (1, 2)
+
     def test_mismatch_on_shift(self, rng):
         a = random_cmatrix(rng, 3, 3, integer=True)
         fa = clinalg.jordan_fingerprint(a)

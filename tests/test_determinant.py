@@ -175,6 +175,11 @@ class TestTriangular:
         with pytest.raises(NotTriangularError):
             triangular_central_det(BqMatrix(c))
 
+    def test_rejects_small_full_matrix(self):
+        # the triangularity test is relative to the matrix's own norm
+        with pytest.raises(NotTriangularError):
+            triangular_central_det(BqMatrix.from_entries([[1, 2], [3, 4]]) * 1e-12)
+
     def test_agrees_with_central_det(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 4))

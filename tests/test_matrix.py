@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biquat import (
     E1,
@@ -12,6 +14,7 @@ from biquat import (
     DimensionError,
     HalfRank,
     NotInvertibleError,
+    NotTriangularError,
     block_diagonal,
     clinalg,
     frame_reconstruct,
@@ -19,6 +22,7 @@ from biquat import (
     repr_factor,
     sampling,
     shuffle_permutations,
+    triangular_central_det,
 )
 from conftest import bq_close, mat_close, penrose_residual
 
@@ -363,6 +367,64 @@ class TestPredicates:
     def test_non_square_rejected(self, rng):
         with pytest.raises(DimensionError):
             sampling.integer_matrix(rng, 2, 3).is_hermitian()
+
+    def test_small_matrices_are_not_close_to_zero(self):
+        # closeness is relative to the operands, with no floor of 1
+        small = BqMatrix.identity(2) * 1e-12
+        assert not small.allclose(BqMatrix.zeros(2, 2))
+        assert not BqMatrix.from_entries([[E2 * 1e-12]]).is_hermitian()
+        assert (BqMatrix.from_entries([[E1 * 1e-12]]) * 1e12).is_unitary()
+
+
+def _grid_matrix(n, kind, values):
+    c = np.array(values[: 4 * n * n]) + 1j * np.array(values[4 * n * n :])
+    c = c.reshape(4, n, n)
+    if kind == "upper":
+        c = np.triu(c)
+    elif kind == "deficient":
+        c[:, -1] = c[:, 0]  # repeated row: block rank at most 2n - 2
+    return BqMatrix(c)
+
+
+GRID_MATRICES = st.integers(1, 3).flatmap(
+    lambda n: st.builds(
+        _grid_matrix,
+        st.just(n),
+        st.sampled_from(["full", "upper", "deficient"]),
+        st.lists(st.integers(-5, 5), min_size=8 * n * n, max_size=8 * n * n),
+    )
+)
+
+
+def _is_triangular(a):
+    try:
+        triangular_central_det(a)
+    except NotTriangularError:
+        return False
+    return True
+
+
+class TestScaleFree:
+    """Multiplying by 10**k changes only the scale of the outputs."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(GRID_MATRICES, st.integers(-100, 100))
+    @example(BqMatrix.diag([ZD, 1]), -100)
+    @example(BqMatrix.identity(2), 100)
+    def test_verdicts_do_not_depend_on_scale(self, a, k):
+        c = 10.0**k
+        ac = a * c
+        assert ac.rank() == a.rank()
+        assert _is_triangular(ac) == _is_triangular(a)
+        for other in (a, a @ a):
+            assert ac.allclose(other * c) == a.allclose(other)
+        if a.rank().twice_rank == 2 * a.rows:
+            inv = a.inverse()
+            cond = np.linalg.cond(a.block_repr())
+            assert (ac.inverse() * c).allclose(inv, 1e-14 * cond)
+        else:
+            with pytest.raises(NotInvertibleError):
+                ac.inverse()
 
 
 class TestHalfRank:

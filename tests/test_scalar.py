@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biquat import (
     E1,
@@ -7,6 +9,7 @@ from biquat import (
     E3,
     ONE,
     Biquaternion,
+    BqMatrix,
     CanonicalCase,
     NotInvertibleError,
     clinalg,
@@ -20,6 +23,11 @@ from conftest import bq_close
 
 ZERO = Biquaternion()
 BASIS = [ONE, E1, E2, E3]
+
+# Integer-grid elements and the powers of ten they are scaled by.
+GAUSSIAN = st.builds(complex, st.integers(-5, 5), st.integers(-5, 5))
+ELEMENTS = st.builds(Biquaternion, GAUSSIAN, GAUSSIAN, GAUSSIAN, GAUSSIAN)
+EXPONENTS = st.integers(-100, 100)
 
 # e_s * e_t for s, t in {1, e1, e2, e3}, row-major
 TABLE = [
@@ -109,6 +117,11 @@ class TestInverse:
 
     def test_complex_scalar(self):
         assert Biquaternion(2).inverse() == Biquaternion(0.5)
+
+    def test_small_element_agrees_with_1x1_matrix(self):
+        a = Biquaternion(1e-7)
+        assert bq_close(a.inverse() * 1e-7, ONE)
+        assert bq_close(BqMatrix.from_entries([[a]]).inverse().entry(0, 0) * 1e-7, ONE)
 
     def test_two_sided(self, rng):
         for _ in range(50):
@@ -276,6 +289,14 @@ class TestCanonicalForm:
         assert case is CanonicalCase.COMPLEX
         assert form == a
 
+    @pytest.mark.parametrize("a", [Biquaternion(1e-7, 0, 1e-7), Biquaternion(0, 1e-7)])
+    def test_small_vector_part_is_generic(self, a):
+        # the image has the two distinct eigenvalues a0 +/- 1e-7 i
+        form, case = a.canonical_form()
+        assert case is CanonicalCase.GENERIC
+        assert form.a0 == a.a0 and abs(form.a1 - 1e-7) <= 1e-22
+        assert len(clinalg.jordan_fingerprint(a.as_complex_matrix())) == 2
+
 
 class TestSimilarityWitness:
     def test_already_canonical(self):
@@ -318,6 +339,54 @@ class TestClassify:
         flags = Biquaternion(1j).classify()
         assert flags.pure_imaginary and flags.scalar
         assert not flags.real and not flags.hermitian
+
+
+CASE_WEYR = {
+    CanonicalCase.COMPLEX: [(2,)],
+    CanonicalCase.NULL: [(1, 2)],
+    CanonicalCase.GENERIC: [(1,), (1,)],
+}
+
+
+class TestScaleFree:
+    """Scalar decisions are the matrix rules on the 2x2 image, so they do
+    not depend on the scale of the element."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(ELEMENTS, EXPONENTS)
+    @example(Biquaternion(), 100)
+    @example(Biquaternion(1, 1j), -100)  # zero divisor
+    @example(Biquaternion(2, 0, 1, 1j), -7)  # null case
+    @example(Biquaternion(3 - 1j), 100)  # complex case
+    @example(Biquaternion(1, 0, 1), -7)
+    def test_verdicts_do_not_depend_on_scale(self, a, k):
+        c = 10.0**k
+        ac = a * c
+        try:
+            inv = a.inverse()
+        except NotInvertibleError:
+            with pytest.raises(NotInvertibleError):
+                ac.inverse()
+            with pytest.raises(NotInvertibleError):
+                BqMatrix.from_entries([[ac]]).inverse()
+        else:
+            inv_c = ac.inverse()
+            assert bq_close(inv_c * c, inv, 1e-12 * inv.norm())
+            BqMatrix.from_entries([[ac]]).inverse()
+        assert ac.canonical_form()[1] is a.canonical_form()[1]
+        assert ac.classify() == a.classify()
+
+    @settings(derandomize=True, deadline=None)
+    @given(ELEMENTS, EXPONENTS)
+    @example(Biquaternion(1, 2, 0, 2j), 0)
+    @example(Biquaternion(1, 2, 0, 2j), 2)
+    @example(Biquaternion(0, 1, 1j), -100)
+    @example(Biquaternion(5j), 100)
+    def test_case_matches_image_fingerprint(self, a, k):
+        ac = a * 10.0**k
+        _, case = ac.canonical_form()
+        fp = clinalg.jordan_fingerprint(ac.as_complex_matrix())
+        assert [weyr for _, weyr in fp] == CASE_WEYR[case]
 
 
 class TestTextForm:
