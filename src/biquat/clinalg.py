@@ -197,46 +197,48 @@ def spectral_clusters(
     One eigendecomposition yields the spectrum; eigenvalues closer than
     ``cluster_tol`` times the matrix scale are merged.  A cluster of one
     eigenvalue has Weyr characteristic ``(1,)`` and its unit eigenvector as
-    basis.  For a repeated cluster, one SVD of the shifted matrix gives the
-    first nullity and the kernel basis, and powers of the shifted matrix give
-    the later nullities; the sequence stops once it reaches the cluster's
-    algebraic multiplicity or stops growing.  A singular value of the k-th
-    power counts as zero when at most ``tol * s_max**k`` (``s_max`` of the
-    shifted matrix), so a power that is only rounding noise has a full
-    kernel.  A shifted matrix whose largest singular value is at most ``tol``
-    times the scale counts as zero (full kernel).  Clusters are sorted by
+    basis.  A repeated cluster is read off the leading block of one complex
+    Schur form reordered to put as many Schur eigenvalues first as the
+    cluster has, the nearest ones, so no other eigenvalue enters its
+    nullities: with ``b`` the block minus ``value*I`` and ``s`` its largest
+    singular value, the k-th nullity counts the singular values of
+    ``b**k / s**(k-1)`` (no overflow) at most ``tol`` times the scale, until
+    it reaches the block's size or stops growing.  Clusters are sorted by
     (real, imag) of their value.
     """
     m = as_cmatrix(a)
-    n = _require_square(m)
-    if n == 0:
+    if _require_square(m) == 0:
         return []
     w, v = eig(m)
     scale = max(matrix_scale(m), float(np.max(np.abs(w))), 1e-300)
-    out = []
+    out, schur = [], None
     for idx in cluster_eigenvalues(w, cluster_tol * scale):
         if idx.size == 1:
             out.append(Cluster(complex(w[idx[0]]), (1,), v[:, idx]))
             continue
+        if schur is None:  # scipy.linalg is a slow import, needed only here
+            from scipy.linalg import lapack
+            t, _, _, q, _, info = lapack.zgees(lambda z: None, m)
+            if info:
+                raise ConvergenceError(f"Schur iteration failed: info={info}")
+            schur = (t, q)
+        d = np.abs(np.diag(schur[0])[:, None] - w[idx]).min(axis=1)
+        t, q, _, k, *_ = lapack.ztrsen(d <= np.sort(d)[idx.size - 1], *schur, job="N")
         lam = complex(np.mean(w[idx]))
-        shifted = m - lam * np.eye(n)
+        shifted = t[:k, :k] - lam * np.eye(k)
         _, s, vh = svd(shifted)
-        if s[0] <= tol * scale:
-            out.append(Cluster(lam, (n,), np.eye(n, dtype=complex)))
-            continue
-        bound = tol * float(s[0])  # a Python float overflows to inf quietly
-        keep = s <= bound
+        keep = s <= tol * scale
         weyr = [int(np.count_nonzero(keep))]
         if not weyr[0]:
             keep[-1] = True  # wide cluster: best available near-kernel vector
         power = shifted
-        while weyr[-1] < idx.size:
-            power, bound = power @ shifted, bound * float(s[0])
-            nullity = int(np.count_nonzero(singular_values(power) <= bound))
+        while weyr[-1] < k:
+            power = power @ shifted / s[0]
+            nullity = int(np.count_nonzero(singular_values(power) <= tol * scale))
             if nullity <= weyr[-1]:
                 break
             weyr.append(nullity)
-        out.append(Cluster(lam, tuple(weyr), vh[keep].conj().T))
+        out.append(Cluster(lam, tuple(weyr), q[:, :k] @ vh[keep].conj().T))
     out.sort(key=lambda c: (c.value.real, c.value.imag))
     return out
 

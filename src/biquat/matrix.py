@@ -120,9 +120,7 @@ class BqMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BqMatrix":
-        c = np.zeros((4, n, n), dtype=complex)
-        c[0] = np.eye(n)
-        return cls(c)
+        return cls.from_complex(np.eye(n))
 
     @classmethod
     def diag(cls, entries) -> "BqMatrix":
@@ -335,11 +333,8 @@ class BqMatrix:
         return self.allclose(self.hconj(), tol)
 
     def is_unitary(self, tol: float = clinalg.DEFAULT_TOL) -> bool:
-        n = self._require_square()
-        ident = BqMatrix.identity(n)
-        return (self @ self.hconj()).allclose(ident, tol) and (
-            self.hconj() @ self
-        ).allclose(ident, tol)
+        ident, h = BqMatrix.identity(self._require_square()), self.hconj()
+        return (self @ h).allclose(ident, tol) and (h @ self).allclose(ident, tol)
 
     def _require_square(self) -> int:
         if self.rows != self.cols:
@@ -371,13 +366,9 @@ def shuffle_permutations(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     row and column, and for m == n they are mutually inverse transposes.
     """
     g = np.zeros((2 * m, 2 * m), dtype=int)
-    for k in range(m):
-        g[2 * k, k] = 1
-        g[2 * k + 1, m + k] = 1
+    g[0::2, :m] = g[1::2, m:] = np.eye(m, dtype=int)
     h = np.zeros((2 * n, 2 * n), dtype=int)
-    for t in range(n):
-        h[t, 2 * t] = 1
-        h[n + t, 2 * t + 1] = 1
+    h[:n, 0::2] = h[n:, 1::2] = np.eye(n, dtype=int)
     return g, h
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -172,16 +173,18 @@ class Biquaternion:
         return principal_sqrt(self.a1**2 + self.a2**2 + self.a3**2)
 
     def inverse(self, tol: float = clinalg.DEFAULT_TOL) -> "Biquaternion":
-        """Two-sided inverse ``dual(a) / weak_norm(a)``.
+        """Two-sided inverse ``dual(a) / weak_norm(a)``, taken on ``a`` scaled
+        exactly by a power of two, so the weak norm cannot overflow or underflow.
 
         Raises:
             NotInvertibleError: when the image has numerical rank below 2
                 (a zero divisor), exactly as the 1x1 :meth:`BqMatrix.inverse`.
         """
-        n = self.weak_norm()
         if clinalg.rank(self.as_complex_matrix(), tol) < 2:
-            raise NotInvertibleError(f"weak norm {n!r} vanishes; element is not invertible")
-        return self.dual() * (1.0 / n)
+            raise NotInvertibleError("the image has rank below 2; element is not invertible")
+        unit = math.ldexp(1.0, -math.frexp(max(map(abs, self.components)))[1])
+        b = self * unit
+        return b.dual() * (unit / b.weak_norm())
 
     # -- complex 2x2 representation -------------------------------------------
 
@@ -222,8 +225,10 @@ class Biquaternion:
         """Similarity canonical form of the element.
 
         Central elements are their own form; otherwise ``a0 + tau*e1``, or
-        ``a0 - e2/2 + i*e3/2`` when the e-part is isotropic: the image's
-        eigenvalues ``a0 +/- i*tau`` cluster, ``|2*tau| <= CLUSTER_TOL*sqrt(2)*|a|``.
+        ``a0 - e2/2 + i*e3/2`` when the e-part is isotropic.  ``tol`` decides
+        only the central case (:meth:`is_complex`).  The null case always
+        uses the cluster rule with ``clinalg.CLUSTER_TOL``: the image's
+        eigenvalues ``a0 +/- i*tau`` merge, ``|2*tau| <= CLUSTER_TOL*sqrt(2)*|a|``.
         """
         if self.is_complex(tol):
             return self, CanonicalCase.COMPLEX
@@ -244,8 +249,12 @@ class Biquaternion:
         through the isomorphism.
 
         Raises:
-            DegenerateWitnessError: if the constructed witness's image is
-                numerically rank deficient.
+            DegenerateWitnessError: if the witness's image is numerically
+                rank deficient.  In the null case the form is fixed, so the
+                witness's condition number grows as ``max(|N|, 1/|N|)``,
+                ``N = image - a0*I``: this raises once ``|N|`` passes ``1/tol``
+                or ``tol``.  A smaller ``tol`` reaches further, with fewer
+                correct digits in the witness's short column.
         """
         form, case = self.canonical_form(tol)
         if case is CanonicalCase.COMPLEX or self == form:
@@ -277,9 +286,7 @@ class Biquaternion:
         # m - a0*I is nonzero nilpotent; [N@w, w] gives the Jordan basis, and
         # a nonzero column of N always yields an invertible basis.
         nil = m - self.a0 * np.eye(2)
-        col = 0 if np.linalg.norm(nil[:, 0]) >= np.linalg.norm(nil[:, 1]) else 1
-        w = np.zeros(2)
-        w[col] = 1.0
+        w = np.eye(2)[:, int(np.linalg.norm(nil[:, 1]) > np.linalg.norm(nil[:, 0]))]
         return np.column_stack([nil @ w, w])
 
     def classify(self, tol: float = clinalg.DEFAULT_TOL) -> ScalarFlags:

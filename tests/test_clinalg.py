@@ -188,6 +188,20 @@ class TestJordanFingerprint:
         [(lam, weyr)] = clinalg.jordan_fingerprint(c * np.array([[1 + 2j, 2], [2, 1 - 2j]]))
         assert abs(lam - c) <= 1e-15 * c and weyr == (1, 2)
 
+    @pytest.mark.parametrize("d", [1.0, 1e-3])
+    def test_nearby_eigenvalue_stays_out_of_the_cluster(self, d):
+        # 3e-6 is its own cluster, but its square is below the cut for the
+        # squared shift; only cluster 0's own Schur block may be powered
+        a = np.array([[0, d, 0], [0, 0, 0], [0, 0, 3e-6]])
+        fp = clinalg.jordan_fingerprint(a)
+        assert [weyr for _, weyr in fp] == [(1, 2), (1,)]
+
+    @pytest.mark.parametrize("c", [1.0, 1e-120, 1e120])
+    def test_size_three_block_powers_do_not_overflow(self, c):
+        j = np.kron(np.eye(2), np.eye(3) + np.diag([1.0, 1.0], 1))  # two J3(1)
+        [(lam, weyr)] = clinalg.jordan_fingerprint(c * j)
+        assert abs(lam - c) <= 1e-15 * c and weyr == (2, 4, 6)
+
     def test_mismatch_on_shift(self, rng):
         a = random_cmatrix(rng, 3, 3, integer=True)
         fa = clinalg.jordan_fingerprint(a)

@@ -11,6 +11,7 @@ from biquat import (
     Biquaternion,
     BqMatrix,
     CanonicalCase,
+    DegenerateWitnessError,
     NotInvertibleError,
     clinalg,
     format_biquaternion,
@@ -122,6 +123,13 @@ class TestInverse:
         a = Biquaternion(1e-7)
         assert bq_close(a.inverse() * 1e-7, ONE)
         assert bq_close(BqMatrix.from_entries([[a]]).inverse().entry(0, 0) * 1e-7, ONE)
+
+    @pytest.mark.parametrize("c", [1e-170, 1e-154, 1e154, 1e170])
+    def test_extreme_scale_agrees_with_1x1_matrix(self, c):
+        # the weak norm of c itself would underflow or overflow
+        a = Biquaternion(c, 0, c)
+        for inv in (a.inverse(), BqMatrix.from_entries([[a]]).inverse().entry(0, 0)):
+            assert np.allclose(np.array(inv.components) * c, [0.5, 0, -0.5, 0], rtol=0, atol=1e-15)
 
     def test_two_sided(self, rng):
         for _ in range(50):
@@ -310,6 +318,17 @@ class TestSimilarityWitness:
         a = E2 + 1j * E3
         p = a.similarity_witness()
         assert bq_close(p.inverse() * a * p, Biquaternion(0, 0, -0.5, 0.5j), 1e-10)
+
+    def test_null_witness_reach(self):
+        # the form's nilpotent part is fixed, so the witness's condition
+        # number grows as max(|N|, 1/|N|) and the rank rule stops it near 1/tol
+        for c in (1e-9, 1e9):
+            (Biquaternion(3, 2, 0, 2j) * c).similarity_witness().inverse()
+        for c in (1e-11, 1e11):
+            a = Biquaternion(3, 2, 0, 2j) * c
+            with pytest.raises(DegenerateWitnessError):
+                a.similarity_witness()
+            a.similarity_witness(tol=1e-13).inverse(tol=1e-13)
 
     def test_random_contract_and_fingerprint(self, rng):
         for _ in range(50):

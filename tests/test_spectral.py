@@ -161,6 +161,14 @@ class TestSimilar:
     def test_reflexive(self):
         assert similar(BqMatrix.identity(2), BqMatrix.identity(2))
 
+    def test_nearby_eigenvalue_under_diagonal_similarity(self):
+        # the block image doubles the 2x2 Jordan block, whose shift by 3e-6
+        # has a singular value of 9e-12; it must not count toward 3e-6
+        a = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 3e-6]])
+        d = np.diag([1.0, 1e3, 1.0])
+        b = d @ a @ np.linalg.inv(d)
+        assert similar(BqMatrix.from_complex(a), BqMatrix.from_complex(b))
+
     def test_conjugates(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 4))
@@ -206,6 +214,11 @@ class TestDiagonalizable:
 
     def test_identity(self):
         assert diagonalizable(BqMatrix.identity(3))
+
+    @pytest.mark.parametrize("c", [1e-120, 1e120])
+    def test_scaled_size_three_block(self, c):
+        j = np.eye(3) + np.diag([1.0, 1.0], 1)
+        assert not diagonalizable(BqMatrix.from_complex(j) * c)
 
     def test_conjugated_diagonal(self, rng):
         for _ in range(10):
