@@ -77,16 +77,27 @@ class Biquaternion:
     def components(self) -> tuple[complex, complex, complex, complex]:
         return (self.a0, self.a1, self.a2, self.a3)
 
+    def _scaled(self) -> tuple[tuple[complex, ...], float]:
+        """The components times ``unit``, the exact power of two that brings
+        the largest one into [0.5, 1), and ``unit``: their squares can
+        neither overflow nor underflow, and every ratio is unchanged."""
+        a0, a1, a2, a3 = self.a0, self.a1, self.a2, self.a3
+        # Capped so that unit itself stays finite for subnormal components.
+        unit = math.ldexp(1.0, min(-math.frexp(max(abs(a0), abs(a1), abs(a2), abs(a3)))[1], 1022))
+        return (a0 * unit, a1 * unit, a2 * unit, a3 * unit), unit
+
     def norm(self) -> float:
         """Euclidean magnitude ``sqrt(sum |component|**2)`` (a real norm,
         unrelated to the complex-valued weak norm)."""
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.components)))
+        comps, unit = self._scaled()
+        return math.sqrt(sum(abs(c) ** 2 for c in comps)) / unit
 
     def is_complex(self, tol: float = clinalg.DEFAULT_TOL) -> bool:
         """True when ``|e-part| <= tol * |a|``: the image minus ``a0*I`` is
         negligible, the full-kernel rule of :func:`clinalg.spectral_clusters`."""
-        vec = abs(self.a1) ** 2 + abs(self.a2) ** 2 + abs(self.a3) ** 2
-        return vec <= tol**2 * (abs(self.a0) ** 2 + vec)
+        (a0, a1, a2, a3), _ = self._scaled()
+        vec = abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2
+        return vec <= tol**2 * (abs(a0) ** 2 + vec)
 
     def __bool__(self) -> bool:
         return any(c != 0 for c in self.components)
@@ -182,8 +193,8 @@ class Biquaternion:
         """
         if clinalg.rank(self.as_complex_matrix(), tol) < 2:
             raise NotInvertibleError("the image has rank below 2; element is not invertible")
-        unit = math.ldexp(1.0, -math.frexp(max(map(abs, self.components)))[1])
-        b = self * unit
+        comps, unit = self._scaled()
+        b = Biquaternion(*comps)
         return b.dual() * (unit / b.weak_norm())
 
     # -- complex 2x2 representation -------------------------------------------
@@ -229,16 +240,26 @@ class Biquaternion:
         only the central case (:meth:`is_complex`).  The null case always
         uses the cluster rule with ``clinalg.CLUSTER_TOL``: the image's
         eigenvalues ``a0 +/- i*tau`` merge, ``|2*tau| <= CLUSTER_TOL*sqrt(2)*|a|``.
+        Every decision is taken on the element scaled by a power of two, so it
+        holds at any magnitude.
+
+        Raises:
+            OverflowError: if ``tau`` lies beyond the float range.
         """
         if self.is_complex(tol):
             return self, CanonicalCase.COMPLEX
-        tau_sq = self.a1**2 + self.a2**2 + self.a3**2
-        if abs(tau_sq) <= 0.5 * (clinalg.CLUSTER_TOL * self.norm()) ** 2:
+        comps, unit = self._scaled()
+        _, a1, a2, a3 = comps
+        tau_sq = a1**2 + a2**2 + a3**2
+        scaled_norm = math.sqrt(sum(abs(c) ** 2 for c in comps))
+        if abs(tau_sq) <= 0.5 * (clinalg.CLUSTER_TOL * scaled_norm) ** 2:
             return (
                 Biquaternion(self.a0, 0, -0.5, 0.5j),
                 CanonicalCase.NULL,
             )
-        tau = principal_sqrt(tau_sq)
+        tau = principal_sqrt(tau_sq) / unit
+        if not cmath.isfinite(tau):
+            raise OverflowError("tau of the canonical form exceeds the float range")
         return Biquaternion(self.a0, tau, 0, 0), CanonicalCase.GENERIC
 
     def similarity_witness(self, tol: float = clinalg.DEFAULT_TOL) -> "Biquaternion":

@@ -60,28 +60,34 @@ def adjoint_vector(x: BqMatrix) -> np.ndarray:
     return np.concatenate([c[0] + 1j * c[1], c[2] - 1j * c[3]])
 
 
-def _lift_column(y: np.ndarray) -> BqMatrix:
-    # X = frame @ Y: components (Y_up, -i*Y_up, Y_low, i*Y_low); nonzero
-    # whenever Y is.
+def _lift_columns(y: np.ndarray) -> BqMatrix:
+    # X = frame @ Y, column by column: components (Y_up, -i*Y_up, Y_low,
+    # i*Y_low); a column is nonzero whenever its Y is.
     n = y.shape[0] // 2
     up, low = y[:n], y[n:]
-    c = np.stack([up, -1j * up, low, 1j * low]).reshape(4, n, 1)
-    return BqMatrix(c)
+    return BqMatrix(np.stack([up, -1j * up, low, 1j * low]).reshape(4, n, y.shape[1]))
 
 
 def _pair_residual(a: BqMatrix, x: BqMatrix, lam) -> float:
     return (a @ x - x * lam).norm()
 
 
+# Entries within this relative band of a column's largest magnitude count
+# as tied, so rounding cannot decide which one becomes the phase pivot.
+_PIVOT_BAND = 1 - 1e-8
+
+
 def _normalize_phases(basis: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest entry is real positive (makes
-    constructed eigenvectors deterministic and sign-stable)."""
-    out = basis.copy()
-    for k in range(out.shape[1]):
-        pivot = out[np.argmax(np.abs(out[:, k])), k]
-        if pivot != 0:
-            out[:, k] *= abs(pivot) / pivot
-    return out
+    """Rotate each column so its first entry of (nearly) largest magnitude is
+    real positive (makes constructed eigenvectors deterministic and
+    sign-stable)."""
+    mags = np.abs(basis)
+    rows = np.argmax(mags >= _PIVOT_BAND * mags.max(axis=0), axis=0)
+    pivots = basis[rows, np.arange(basis.shape[1])]
+    phases = np.ones_like(pivots)
+    nonzero = pivots != 0
+    phases[nonzero] = np.abs(pivots[nonzero]) / pivots[nonzero]
+    return basis * phases
 
 
 def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
@@ -94,12 +100,14 @@ def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
     """
     a._require_square()
     w, v = clinalg.eig(a.block_repr())
-    pairs = []
-    for k in range(w.size):
-        x = _lift_column(v[:, k])
-        lam = complex(w[k])
-        pairs.append(EigenPair(lam, x, _pair_residual(a, x, lam)))
-    return pairs
+    x = _lift_columns(v)
+    # One product for every column: lam is central, so X * lam scales each
+    # column by its own value, and |block(Y)|_F**2 = 2 * sum_k |Y_k|_F**2.
+    r = (a @ x).components - x.components * w
+    residuals = np.sqrt(2 * np.sum(np.abs(r) ** 2, axis=(0, 1)))
+    return [
+        EigenPair(complex(w[k]), x.col(k), float(residuals[k])) for k in range(w.size)
+    ]
 
 
 def regular_right_eigenpair(

@@ -144,6 +144,21 @@ class TestExitCodes:
         assert code == 1
         assert "parse" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"rows": 1, "cols": 1, "entries": [5]}',
+            '{"rows": 1, "cols": 1, "entries": [[[null, 0], [0, 0], [0, 0], [0, 0]]]}',
+        ],
+    )
+    def test_malformed_document_is_a_parse_error(self, capsys, monkeypatch, text):
+        import io as _stdio
+
+        monkeypatch.setattr("sys.stdin", _stdio.StringIO(text))
+        code, _, err = run_cli(capsys, "inv", "-")
+        assert code == 1
+        assert err.startswith("error: parse: inv: entry (0, 0)")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "rank", "/nonexistent/file.json")
         assert code == 1
@@ -161,7 +176,8 @@ class TestExitCodes:
         assert "numerical" in err
 
     def test_overflow_is_numerical(self, capsys):
-        text = "(1e200+0i) + (1e200+0i)e1 + (0+0i)e2 + (0+0i)e3"
+        # tau = sqrt(2) * 1.5e308 is beyond the largest double.
+        text = "(0+0i) + (1.5e308+0i)e1 + (1.5e308+0i)e2 + (0+0i)e3"
         code, _, err = run_cli(capsys, "canonical", "--text", text)
         assert code == 3
         assert err.startswith("error: numerical:")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,39 @@ class TestRoundTrip:
         assert len(doc["entries"]) == 6
         assert all(len(e) == 4 for e in doc["entries"])
         assert all(len(pair) == 2 for e in doc["entries"] for pair in e)
+
+
+class TestDumpsMatchesJson:
+    """``dumps`` fills a template; its text is that of the ``json`` module."""
+
+    def test_awkward_values(self):
+        awkward = [1e-300, -0.0, 1 / 3, 1.7976931348623157e308, 5e-324, -1e22, 0.1, 2.0**53]
+        rng = np.random.default_rng(5)
+        c = rng.choice(awkward, (4, 3, 2)) + 1j * rng.choice(awkward, (4, 3, 2))
+        a = BqMatrix(c * rng.choice([1, -1], (4, 3, 2)))
+        assert io.dumps(a) == json.dumps(io.to_document(a), indent=1)
+        assert io.loads(io.dumps(a)) == a
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0)])
+    def test_empty_shapes(self, shape):
+        a = BqMatrix.zeros(*shape)
+        assert io.dumps(a) == json.dumps(io.to_document(a), indent=1)
+        assert io.loads(io.dumps(a)).shape == shape
+
+    def test_entries_match_the_per_entry_loop(self, rng):
+        a = sampling.unit_matrix(rng, 3, 4)
+        expected = [
+            [[c.real, c.imag] for c in a.entry(i, j).components]
+            for i in range(a.rows)
+            for j in range(a.cols)
+        ]
+        assert io.to_document(a)["entries"] == expected
+
+    def test_random_shapes(self, rng):
+        for _ in range(20):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            a = sampling.unit_matrix(rng, m, n)
+            assert io.dumps(a) == json.dumps(io.to_document(a), indent=1)
 
 
 class TestValidation:
@@ -70,3 +104,21 @@ class TestValidation:
         a = sampling.integer_matrix(rng, 1, 1)
         parsed = json.loads(io.dumps(a))
         assert set(parsed) == {"rows", "cols", "entries"}
+
+    @pytest.mark.parametrize(
+        "entries, named",
+        [
+            ([5], "entry (0, 0) is not four [re, im] pairs"),
+            ([[[0, 0]] * 4, [[0, 0]] * 3], "entry (0, 1) is not four [re, im] pairs"),
+            ([[[0, 0]] * 4, [[0, 0], [0, [1]], [0, 0], [0, 0]]], "entry (0, 1) is not four [re, im] pairs"),
+            ([[[0, 0]] * 4, [[0, 0], [0, {}], [0, 0], [0, 0]]], "entry (0, 1) is not four [re, im] pairs"),
+            ([[[0, 0]] * 4, [[0, 0], [0, None], [0, 0], [0, 0]]], "entry (0, 1) has a component that is not a finite number"),
+        ],
+    )
+    def test_bad_entry_is_named(self, entries, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            io.from_document({"rows": 1, "cols": len(entries), "entries": entries})
+
+    def test_entries_not_a_list(self):
+        with pytest.raises(ValueError):
+            io.from_document({"rows": 1, "cols": 1, "entries": 5})

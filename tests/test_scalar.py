@@ -29,6 +29,8 @@ BASIS = [ONE, E1, E2, E3]
 GAUSSIAN = st.builds(complex, st.integers(-5, 5), st.integers(-5, 5))
 ELEMENTS = st.builds(Biquaternion, GAUSSIAN, GAUSSIAN, GAUSSIAN, GAUSSIAN)
 EXPONENTS = st.integers(-100, 100)
+# Scales where the squares of the components overflow or underflow.
+EXTREME_EXPONENTS = st.one_of(st.integers(-300, -160), st.integers(160, 300))
 
 # e_s * e_t for s, t in {1, e1, e2, e3}, row-major
 TABLE = [
@@ -394,6 +396,37 @@ class TestScaleFree:
             BqMatrix.from_entries([[ac]]).inverse()
         assert ac.canonical_form()[1] is a.canonical_form()[1]
         assert ac.classify() == a.classify()
+
+    @settings(derandomize=True, deadline=None)
+    @given(ELEMENTS, EXTREME_EXPONENTS)
+    @example(Biquaternion(1, 2), 160)
+    @example(Biquaternion(1, 2), -170)
+    @example(Biquaternion(2, 0, 1, 1j), 300)  # null case
+    @example(Biquaternion(3 - 1j), -300)  # complex case
+    @example(Biquaternion(1, 1j), -300)  # zero divisor
+    def test_decisions_beyond_squared_range(self, a, k):
+        c = 10.0**k
+        ac = a * c
+        assert ac.norm() == pytest.approx(a.norm() * c, rel=1e-14)
+        assert ac.is_complex() == a.is_complex()
+        (form, case), (form_c, case_c) = a.canonical_form(), ac.canonical_form()
+        assert case_c is case
+        if case is CanonicalCase.GENERIC:
+            assert abs(form_c.a1 - form.a1 * c) <= 1e-14 * abs(form.a1 * c)
+        assert ac.classify() == a.classify()
+        try:
+            inv = a.inverse()
+        except NotInvertibleError:
+            with pytest.raises(NotInvertibleError):
+                ac.inverse()
+        else:
+            assert bq_close(ac.inverse() * c, inv, 1e-12 * inv.norm())
+
+    def test_subnormal_components(self):
+        # the scaling power of two is capped, so it stays finite here
+        a = Biquaternion(5e-324, 1e-323)
+        assert a.canonical_form()[1] is CanonicalCase.GENERIC
+        assert a.norm() == 1e-323
 
     @settings(derandomize=True, deadline=None)
     @given(ELEMENTS, EXPONENTS)

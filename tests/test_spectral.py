@@ -19,6 +19,7 @@ from biquat import (
     sampling,
     similar,
     similar_to_complex,
+    spectral,
 )
 from biquat.spectral import RegularEigenPair
 from conftest import bq_close, mat_close
@@ -87,6 +88,54 @@ class TestRightEigenpairs:
                 assert p.residual <= 1e-9 * a.norm()
                 assert abs(p.value - spectrum[k]) <= 1e-12 * max(1.0, a.norm())
                 assert p.vector.norm() > 0
+
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_reported_residual_is_that_of_the_returned_vector(self, rng, n):
+        a = sampling.unit_matrix(rng, n, n)
+        for p in right_eigenpairs(a):
+            direct = (a @ p.vector - p.vector * p.value).norm()
+            assert abs(p.residual - direct) <= 1e-14 * a.norm() * p.vector.norm()
+
+    def test_reported_residual_with_zero_divisors(self):
+        # every entry but the last is a zero divisor, so block(A) has rank 5
+        a = BqMatrix.from_entries(
+            [[Biquaternion(1, 1j), E2 + 1j * E3, 0], [0, Biquaternion(2, 0, 2j), E1], [E2, 0, 3]]
+        )
+        assert a.rank().twice_rank == 5
+        for p in right_eigenpairs(a):
+            direct = (a @ p.vector - p.vector * p.value).norm()
+            assert abs(p.residual - direct) <= 1e-14 * a.norm() * p.vector.norm()
+            assert p.residual <= 1e-12 * a.norm()
+
+    def test_residual_exposes_a_wrong_lift(self, rng, monkeypatch):
+        a = sampling.unit_matrix(rng, 3, 3)
+        lift = spectral._lift_columns
+
+        def corrupt_first_column(y):
+            c = lift(y).components.copy()
+            c[1, :, 0] *= -1  # the frame of column 0 gets the wrong sign on e1
+            return BqMatrix(c)
+
+        monkeypatch.setattr(spectral, "_lift_columns", corrupt_first_column)
+        pairs = right_eigenpairs(a)
+        assert pairs[0].residual > 1e-2 * a.norm() * pairs[0].vector.norm()
+        assert all(p.residual <= 1e-12 * a.norm() for p in pairs[1:])
+
+
+class TestNormalizePhases:
+    def test_rounding_tie_takes_the_first_entry(self):
+        # |1.0000000000000002j| > |1| only by rounding; the first entry is the pivot
+        tied = spectral._normalize_phases(np.array([[1.0], [1.0000000000000002j]]))
+        exact = spectral._normalize_phases(np.array([[1.0], [1.0j]]))
+        np.testing.assert_allclose(tied, exact, rtol=0, atol=1e-15)
+        assert tied[0, 0] == 1.0
+
+    def test_clear_maximum_and_zero_column(self):
+        basis = np.array([[0.5j, 0.0], [-2.0, 0.0]])
+        out = spectral._normalize_phases(basis)
+        np.testing.assert_allclose(out[:, 0], [-0.5j, 2.0], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(out[:, 1], [0.0, 0.0])
 
 
 class TestRegularEigenpair:
