@@ -8,7 +8,6 @@ representations and lifted back.
 
 from . import clinalg, io, sampling
 from .determinant import (
-    CentralDet,
     cayley_hamilton_residual,
     central_charpoly,
     central_det,
@@ -71,7 +70,6 @@ __all__ = [
     "RegularEigenPair",
     "CanonicalCase",
     "ScalarFlags",
-    "CentralDet",
     "LawResult",
     "VerifyReport",
     "ONE",

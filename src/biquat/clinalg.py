@@ -156,29 +156,27 @@ def matrix_scale(a) -> float:
 def cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
     """Group eigenvalues into clusters, returned as arrays of indices into ``w``.
 
-    Single-linkage on the sorted values: two eigenvalues land in the same
-    cluster whenever a chain of gaps of at most ``gap`` connects them.  Each
-    index array is ascending.
+    Single linkage: two eigenvalues land in the same cluster whenever a chain
+    of gaps of at most ``gap`` connects them.  Each index array is ascending,
+    and clusters come in the order of their smallest index (for sorted ``w``,
+    the order of their values).
     """
     w = np.asarray(w, dtype=complex)
     if w.size == 0:
         return []
-    order = np.lexsort((w.imag, w.real))
-    remaining = list(order)
-    clusters = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for idx in remaining[:]:
-                if any(abs(w[idx] - w[j]) <= gap for j in members):
-                    members.append(idx)
-                    remaining.remove(idx)
-                    changed = True
-        clusters.append(np.array(sorted(members)))
-    return clusters
+    near = np.abs(w[:, None] - w) <= gap
+    # Every index takes the smallest label among its neighbours until the
+    # labels settle; each cluster then carries its smallest index.
+    labels = np.arange(w.size)
+    while True:
+        lowest = np.where(near, labels, w.size).min(axis=1)
+        if (lowest == labels).all():
+            break
+        labels = lowest
+    order = np.argsort(labels, kind="stable")
+    # Slices of one sorted array (np.split costs as much again at this size).
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), w.size]
+    return [order[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
 class Cluster(NamedTuple):
@@ -189,13 +187,11 @@ class Cluster(NamedTuple):
     basis: np.ndarray  # orthonormal columns spanning the numerical kernel
 
 
-def spectral_clusters(
-    a, tol: float = DEFAULT_TOL, cluster_tol: float = CLUSTER_TOL
-) -> list[Cluster]:
+def spectral_clusters(a, tol: float = DEFAULT_TOL) -> list[Cluster]:
     """Eigenvalue clusters with their Weyr characteristics and eigenvectors.
 
     One eigendecomposition yields the spectrum; eigenvalues closer than
-    ``cluster_tol`` times the matrix scale are merged.  A cluster of one
+    ``CLUSTER_TOL`` times the matrix scale are merged.  A cluster of one
     eigenvalue has Weyr characteristic ``(1,)`` and its unit eigenvector as
     basis.  A repeated cluster is read off the leading block of one complex
     Schur form reordered to put as many Schur eigenvalues first as the
@@ -212,7 +208,7 @@ def spectral_clusters(
     w, v = eig(m)
     scale = max(matrix_scale(m), float(np.max(np.abs(w))), 1e-300)
     out, schur = [], None
-    for idx in cluster_eigenvalues(w, cluster_tol * scale):
+    for idx in cluster_eigenvalues(w, CLUSTER_TOL * scale):
         if idx.size == 1:
             out.append(Cluster(complex(w[idx[0]]), (1,), v[:, idx]))
             continue
@@ -243,9 +239,7 @@ def spectral_clusters(
     return out
 
 
-def jordan_fingerprint(
-    a, tol: float = DEFAULT_TOL, cluster_tol: float = CLUSTER_TOL
-) -> list[tuple[complex, tuple[int, ...]]]:
+def jordan_fingerprint(a, tol: float = DEFAULT_TOL) -> list[tuple[complex, tuple[int, ...]]]:
     """Eigenvalue clusters with their Weyr characteristics.
 
     Returns ``[(lam, (nu_1, nu_2, ...)), ...]`` where ``nu_k`` is the
@@ -254,10 +248,10 @@ def jordan_fingerprint(
     eigenvalue pairing within tolerance (see :func:`fingerprints_match`).
 
     Jordan structure is discontinuous, so the clustering step is a
-    documented heuristic: eigenvalues closer than ``cluster_tol`` times the
+    documented heuristic: eigenvalues closer than ``CLUSTER_TOL`` times the
     matrix scale are merged.
     """
-    return [(c.value, c.weyr) for c in spectral_clusters(a, tol, cluster_tol)]
+    return [(c.value, c.weyr) for c in spectral_clusters(a, tol)]
 
 
 def fingerprints_match(

@@ -22,8 +22,6 @@ exponent empirically instead of trusting any claimed value.
 
 from __future__ import annotations
 
-from typing import TypeAlias
-
 import numpy as np
 from numpy.polynomial import Polynomial
 
@@ -32,12 +30,8 @@ from .errors import NotTriangularError
 from .matrix import BqMatrix
 from .scalar import Biquaternion, principal_sqrt
 
-# The central determinant is an ordinary complex number; the alias keeps the
-# signature self-describing.
-CentralDet: TypeAlias = complex
 
-
-def central_det(a: BqMatrix) -> CentralDet:
+def central_det(a: BqMatrix) -> complex:
     """Determinant of the block representation; nonzero iff A is invertible."""
     a._require_square()
     return clinalg.det(a.block_repr())
@@ -85,7 +79,7 @@ def cayley_hamilton_residual(a: BqMatrix) -> float:
     return acc.norm()
 
 
-def triangular_central_det(a: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> CentralDet:
+def triangular_central_det(a: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> complex:
     """Central determinant of a triangular matrix: the product of the weak
     norms of its diagonal entries.
 

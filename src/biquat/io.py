@@ -91,14 +91,6 @@ def loads(text: str) -> BqMatrix:
     return from_document(doc)
 
 
-def save_matrix(a: BqMatrix, fp: IO[str] | str) -> None:
-    if isinstance(fp, str):
-        with open(fp, "w") as handle:
-            handle.write(dumps(a) + "\n")
-    else:
-        fp.write(dumps(a) + "\n")
-
-
 def load_matrix(fp: IO[str] | str) -> BqMatrix:
     if isinstance(fp, str):
         with open(fp) as handle:

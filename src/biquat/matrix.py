@@ -2,16 +2,23 @@
 
 A ``BqMatrix`` is stored as four complex component matrices ``A0..A3`` with
 ``A = A0 + A1*e1 + A2*e2 + A3*e3`` (structure-of-arrays, shape ``(4, m, n)``),
-so the two complex representations are plain block copies:
+so the scalar algebra's tables of :mod:`scalar` apply to whole component
+arrays: :func:`scalar.image` of ``A0..A3`` gives the four blocks of both
+complex representations, :func:`scalar.preimage` lifts them back, and
+:func:`scalar.product` with ``np.matmul`` is the matrix product.
 
 * ``block_repr``:   ``[[A0+i*A1, -(A2+i*A3)], [A2-i*A3, A0-i*A1]]``  (2m x 2n)
 * ``interleaved_repr``: the 2x2 image of each entry, laid out entrywise.
 
 The two are linked by perfect-shuffle permutations
-(:func:`shuffle_permutations`).  Inversion, pseudoinversion and rank are
-computed on the block representation and lifted back; rank comes out as an
-exact half-integer (:class:`HalfRank`) because the block representation of a
-zero-divisor-laden matrix can have odd rank.
+(:func:`shuffle_permutations`).  Norms and residuals are taken on the
+components without forming a representation, by
+``|block_repr(A)|_F**2 = 2 * sum_k |A_k|_F**2`` (entrywise,
+``|x + i*y|**2 + |x - i*y|**2 = 2 * (|x|**2 + |y|**2)``).  Inversion,
+pseudoinversion and rank are computed on the block representation and
+lifted back; rank comes out as an exact half-integer (:class:`HalfRank`)
+because the block representation of a zero-divisor-laden matrix can have
+odd rank.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 from . import clinalg
 from .errors import DimensionError, NotInvertibleError
-from .scalar import Biquaternion
+from .scalar import Biquaternion, image, preimage, product
 
 
 @functools.total_ordering
@@ -75,22 +82,28 @@ class BqMatrix:
     __slots__ = ("_c",)
 
     def __init__(self, components):
-        c = np.asarray(components, dtype=complex)
+        c = np.array(components, dtype=complex)
         if c.ndim != 3 or c.shape[0] != 4:
             raise DimensionError(
                 f"expected component array of shape (4, m, n), got {c.shape}"
             )
+        self._adopt(c)
+
+    @classmethod
+    def _wrap(cls, c: np.ndarray) -> "BqMatrix":
+        """Adopt, without a copy, a complex ``(4, m, n)`` array that the
+        library has just built and that nothing else refers to."""
+        out = object.__new__(cls)
+        out._adopt(c)
+        return out
+
+    def _adopt(self, c: np.ndarray) -> None:
         if not np.all(np.isfinite(c)):
             raise ValueError("matrix contains non-finite components")
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "_c", c)
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_components(cls, a0, a1, a2, a3) -> "BqMatrix":
-        return cls(np.stack([np.asarray(x, dtype=complex) for x in (a0, a1, a2, a3)]))
 
     @classmethod
     def from_entries(cls, rows) -> "BqMatrix":
@@ -188,7 +201,7 @@ class BqMatrix:
     def norm(self) -> float:
         """Frobenius norm of the block representation (the residual norm
         used throughout the package)."""
-        return float(np.linalg.norm(self.block_repr()))
+        return float(_block_norm(self._c))
 
     def __repr__(self) -> str:
         return f"BqMatrix({self.rows}x{self.cols})"
@@ -204,14 +217,14 @@ class BqMatrix:
 
     def __add__(self, other: "BqMatrix") -> "BqMatrix":
         self._check_same_shape(other)
-        return BqMatrix(self._c + other._c)
+        return BqMatrix._wrap(self._c + other._c)
 
     def __sub__(self, other: "BqMatrix") -> "BqMatrix":
         self._check_same_shape(other)
-        return BqMatrix(self._c - other._c)
+        return BqMatrix._wrap(self._c - other._c)
 
     def __neg__(self) -> "BqMatrix":
-        return BqMatrix(-self._c)
+        return BqMatrix._wrap(-self._c)
 
     def __matmul__(self, other: "BqMatrix") -> "BqMatrix":
         if not isinstance(other, BqMatrix):
@@ -220,7 +233,7 @@ class BqMatrix:
             raise DimensionError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        return BqMatrix(_product_components(self._c, other._c, np.matmul))
+        return BqMatrix._wrap(np.stack(product(self._c, other._c, np.matmul)))
 
     def __mul__(self, scalar) -> "BqMatrix":
         """Right scalar multiple ``A * lam`` (order matters for non-central
@@ -229,13 +242,13 @@ class BqMatrix:
             raise TypeError("use @ for matrix products")
         lam = _as_bq(scalar)
         s = np.asarray(lam.components, dtype=complex).reshape(4, 1, 1)
-        return BqMatrix(_product_components(self._c, s, np.multiply))
+        return BqMatrix._wrap(np.stack(product(self._c, s, np.multiply)))
 
     def __rmul__(self, scalar) -> "BqMatrix":
         """Left scalar multiple ``lam * A``."""
         lam = _as_bq(scalar)
         s = np.asarray(lam.components, dtype=complex).reshape(4, 1, 1)
-        return BqMatrix(_product_components(s, self._c, np.multiply))
+        return BqMatrix._wrap(np.stack(product(s, self._c, np.multiply)))
 
     def _check_same_shape(self, other: "BqMatrix"):
         if not isinstance(other, BqMatrix):
@@ -248,21 +261,19 @@ class BqMatrix:
     def dual(self) -> "BqMatrix":
         """Transpose with the e-part of every entry negated."""
         t = self._c.transpose(0, 2, 1)
-        return BqMatrix(np.stack([t[0], -t[1], -t[2], -t[3]]))
+        return BqMatrix._wrap(np.stack([t[0], -t[1], -t[2], -t[3]]))
 
     def hconj(self) -> "BqMatrix":
         """Hermitian conjugate: transpose with entrywise Hermitian conjugation."""
         t = self._c.transpose(0, 2, 1).conj()
-        return BqMatrix(np.stack([t[0], -t[1], -t[2], -t[3]]))
+        return BqMatrix._wrap(np.stack([t[0], -t[1], -t[2], -t[3]]))
 
     # -- complex representations ---------------------------------------------------
 
     def block_repr(self) -> np.ndarray:
         """The 2m x 2n block complex representation."""
-        a0, a1, a2, a3 = self._c
-        return np.block(
-            [[a0 + 1j * a1, -(a2 + 1j * a3)], [a2 - 1j * a3, a0 - 1j * a1]]
-        )
+        m11, m12, m21, m22 = image(self._c)
+        return np.block([[m11, m12], [m21, m22]])
 
     @classmethod
     def from_block_repr(cls, m) -> "BqMatrix":
@@ -271,25 +282,14 @@ class BqMatrix:
         if m.shape[0] % 2 or m.shape[1] % 2:
             raise DimensionError(f"block representation must have even dims, got {m.shape}")
         hm, hn = m.shape[0] // 2, m.shape[1] // 2
-        m11, m12 = m[:hm, :hn], m[:hm, hn:]
-        m21, m22 = m[hm:, :hn], m[hm:, hn:]
-        return cls.from_components(
-            (m11 + m22) / 2,
-            1j * (m22 - m11) / 2,
-            (m21 - m12) / 2,
-            1j * (m12 + m21) / 2,
-        )
+        return cls._wrap(np.stack(preimage(m[:hm, :hn], m[:hm, hn:], m[hm:, :hn], m[hm:, hn:])))
 
     def interleaved_repr(self) -> np.ndarray:
         """The 2m x 2n representation whose (i, j) 2x2 block is the complex
         image of entry (i, j)."""
-        a0, a1, a2, a3 = self._c
         m, n = self.shape
         out = np.zeros((2 * m, 2 * n), dtype=complex)
-        out[0::2, 0::2] = a0 + 1j * a1
-        out[0::2, 1::2] = -(a2 + 1j * a3)
-        out[1::2, 0::2] = a2 - 1j * a3
-        out[1::2, 1::2] = a0 - 1j * a1
+        out[0::2, 0::2], out[0::2, 1::2], out[1::2, 0::2], out[1::2, 1::2] = image(self._c)
         return out
 
     @classmethod
@@ -299,9 +299,7 @@ class BqMatrix:
         m = clinalg.as_cmatrix(m)
         if m.shape[0] % 2 or m.shape[1] % 2:
             raise DimensionError(f"interleaved representation must have even dims, got {m.shape}")
-        return cls.from_block_repr(
-            np.block([[m[0::2, 0::2], m[0::2, 1::2]], [m[1::2, 0::2], m[1::2, 1::2]]])
-        )
+        return cls._wrap(np.stack(preimage(m[0::2, 0::2], m[0::2, 1::2], m[1::2, 0::2], m[1::2, 1::2])))
 
     # -- lowered computations ----------------------------------------------------------
 
@@ -311,12 +309,16 @@ class BqMatrix:
         Raises:
             NotInvertibleError: if the block representation is numerically
                 rank deficient.
+            OverflowError: if the inverse lies beyond the float range.
         """
         n = self._require_square()
         rep = self.block_repr()
         if clinalg.rank(rep, tol) < 2 * n:
             raise NotInvertibleError("matrix is singular over the biquaternions")
-        return BqMatrix.from_block_repr(np.linalg.inv(rep))
+        try:
+            return BqMatrix.from_block_repr(np.linalg.inv(rep))
+        except ValueError as exc:  # raised here only for non-finite values
+            raise OverflowError("the inverse exceeds the float range") from exc
 
     def pinv(self, tol: float = clinalg.DEFAULT_TOL) -> "BqMatrix":
         """Moore-Penrose inverse: unique solution of the four Penrose
@@ -348,12 +350,10 @@ def _as_bq(value) -> Biquaternion:
     return Biquaternion(complex(value))
 
 
-def _product_components(a: np.ndarray, b: np.ndarray, prod) -> np.ndarray:
-    c0 = prod(a[0], b[0]) - prod(a[1], b[1]) - prod(a[2], b[2]) - prod(a[3], b[3])
-    c1 = prod(a[0], b[1]) + prod(a[1], b[0]) + prod(a[2], b[3]) - prod(a[3], b[2])
-    c2 = prod(a[0], b[2]) + prod(a[2], b[0]) + prod(a[3], b[1]) - prod(a[1], b[3])
-    c3 = prod(a[0], b[3]) + prod(a[3], b[0]) + prod(a[1], b[2]) - prod(a[2], b[1])
-    return np.stack([c0, c1, c2, c3])
+def _block_norm(c: np.ndarray, axis=None) -> np.ndarray:
+    """Frobenius norm of the block representation of components ``c``, summed
+    over ``axis`` (all of it by default), from ``2 * sum_k |c_k|**2``."""
+    return np.sqrt(2 * np.sum(np.abs(c) ** 2, axis=axis))
 
 
 def shuffle_permutations(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:

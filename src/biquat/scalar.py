@@ -6,9 +6,15 @@ Unlike real quaternions the algebra has zero divisors: ``a`` is invertible
 exactly when its weak norm ``a0**2 + a1**2 + a2**2 + a3**2`` is nonzero.
 
 The algebra is isomorphic to the full 2x2 complex matrix algebra; the
-isomorphism (:meth:`Biquaternion.as_complex_matrix` and its inverse) is the
-workhorse for everything nontrivial here: pseudoinverse, canonical forms
-under similarity, and the similarity witnesses themselves.
+isomorphism is the workhorse for everything nontrivial here: pseudoinverse,
+canonical forms under similarity, and the similarity witnesses themselves.
+The algebra's two defining tables live here, once each, and work on
+components of any array shape: :func:`image` and :func:`preimage` (the
+isomorphism and its inverse) and :func:`product` (the multiplication
+table).  The scalar image, both matrix representations, their inverses and
+the scalar and matrix products all apply them.  Only the frame
+constructions stay separate: those of :mod:`matrix`, which the verify laws
+compare against, and the eigenvector lift of :mod:`spectral`.
 
 The image of an element is the block representation of its 1x1 matrix, so
 each tolerance decision here applies the matrix layer's rule for the same
@@ -20,6 +26,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,6 +43,39 @@ def principal_sqrt(z: complex) -> complex:
     if r.real < 0 or (r.real == 0 and r.imag < 0):
         r = -r
     return r
+
+
+def image(c):
+    """The 2x2 complex image of components ``(c0, c1, c2, c3)``: its cells
+    ``(m11, m12, m21, m22)`` of ``[[c0 + i*c1, -(c2 + i*c3)], [c2 - i*c3, c0 - i*c1]]``.
+
+    The components may be numbers or arrays of one shape; the cells then
+    have that shape (for the components of a matrix, the four blocks of its
+    block representation).
+    """
+    c0, c1, c2, c3 = c
+    return c0 + 1j * c1, -(c2 + 1j * c3), c2 - 1j * c3, c0 - 1j * c1
+
+
+def preimage(m11, m12, m21, m22):
+    """Inverse of :func:`image`: the components ``(c0, c1, c2, c3)`` of the
+    cells of any 2x2 complex matrix, cellwise for arrays."""
+    return (m11 + m22) / 2, 1j * (m22 - m11) / 2, (m21 - m12) / 2, 1j * (m12 + m21) / 2
+
+
+def product(a, b, prod):
+    """The multiplication table: components of ``a * b`` from the components
+    of ``a`` and ``b``, with ``prod`` multiplying one component by another
+    (``operator.mul`` for numbers, ``np.multiply`` or ``np.matmul`` for the
+    component arrays of matrices)."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        prod(a0, b0) - prod(a1, b1) - prod(a2, b2) - prod(a3, b3),
+        prod(a0, b1) + prod(a1, b0) + prod(a2, b3) - prod(a3, b2),
+        prod(a0, b2) + prod(a2, b0) + prod(a3, b1) - prod(a1, b3),
+        prod(a0, b3) + prod(a3, b0) + prod(a1, b2) - prod(a2, b1),
+    )
 
 
 class CanonicalCase(enum.Enum):
@@ -79,11 +119,14 @@ class Biquaternion:
 
     def _scaled(self) -> tuple[tuple[complex, ...], float]:
         """The components times ``unit``, the exact power of two that brings
-        the largest one into [0.5, 1), and ``unit``: their squares can
-        neither overflow nor underflow, and every ratio is unchanged."""
+        the largest real or imaginary part into [0.5, 1), and ``unit``: their
+        squares can neither overflow nor underflow, and every ratio is
+        unchanged."""
         a0, a1, a2, a3 = self.a0, self.a1, self.a2, self.a3
+        # Parts, not moduli: abs() of a component overflows past 1.8e308.
+        top = max(map(abs, (a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag, a3.real, a3.imag)))
         # Capped so that unit itself stays finite for subnormal components.
-        unit = math.ldexp(1.0, min(-math.frexp(max(abs(a0), abs(a1), abs(a2), abs(a3)))[1], 1022))
+        unit = math.ldexp(1.0, min(-math.frexp(top)[1], 1022))
         return (a0 * unit, a1 * unit, a2 * unit, a3 * unit), unit
 
     def norm(self) -> float:
@@ -131,14 +174,7 @@ class Biquaternion:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a0, a1, a2, a3 = self.components
-        b0, b1, b2, b3 = other.components
-        return Biquaternion(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 + a2 * b0 + a3 * b1 - a1 * b3,
-            a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
-        )
+        return Biquaternion(*product(self.components, other.components, operator.mul))
 
     def __rmul__(self, other) -> "Biquaternion":
         other = _coerce(other)
@@ -175,14 +211,6 @@ class Biquaternion:
         """
         return sum(c * c for c in self.components)
 
-    def vector_magnitude(self) -> complex:
-        """Principal square root of ``a1**2 + a2**2 + a3**2``.
-
-        The complex magnitude of the e-part; together with ``a0`` it is a
-        complete similarity invariant for elements outside the null case.
-        """
-        return principal_sqrt(self.a1**2 + self.a2**2 + self.a3**2)
-
     def inverse(self, tol: float = clinalg.DEFAULT_TOL) -> "Biquaternion":
         """Two-sided inverse ``dual(a) / weak_norm(a)``, taken on ``a`` scaled
         exactly by a power of two, so the weak norm cannot overflow or underflow.
@@ -200,11 +228,10 @@ class Biquaternion:
     # -- complex 2x2 representation -------------------------------------------
 
     def as_complex_matrix(self) -> np.ndarray:
-        """Faithful 2x2 complex image ``[[a0+a1*i, -(a2+a3*i)], [a2-a3*i, a0-a1*i]]``."""
-        a0, a1, a2, a3 = self.components
-        return np.array(
-            [[a0 + a1 * 1j, -(a2 + a3 * 1j)], [a2 - a3 * 1j, a0 - a1 * 1j]]
-        )
+        """Faithful 2x2 complex image ``[[a0+a1*i, -(a2+a3*i)], [a2-a3*i, a0-a1*i]]``
+        (:func:`image`)."""
+        m11, m12, m21, m22 = image(self.components)
+        return np.array([[m11, m12], [m21, m22]])
 
     @classmethod
     def from_complex_matrix(cls, m) -> "Biquaternion":
@@ -212,13 +239,7 @@ class Biquaternion:
         m = clinalg.as_cmatrix(m)
         if m.shape != (2, 2):
             raise DimensionError(f"expected a 2x2 matrix, got {m.shape}")
-        m11, m12, m21, m22 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-        return cls(
-            (m11 + m22) / 2,
-            1j * (m22 - m11) / 2,
-            (m21 - m12) / 2,
-            1j * (m12 + m21) / 2,
-        )
+        return cls(*preimage(m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
 
     def pinv(self, tol: float = clinalg.DEFAULT_TOL) -> "Biquaternion":
         """Moore-Penrose inverse: the unique solution of the four Penrose
@@ -290,9 +311,11 @@ class Biquaternion:
         return Biquaternion.from_complex_matrix(s)
 
     def _generic_reduction(self, m: np.ndarray, form: "Biquaternion") -> np.ndarray:
-        # Columns are eigenvectors for a0 + tau*i and a0 - tau*i, in that order.
+        # Columns are eigenvectors for a0 + tau*i and a0 - tau*i, in that
+        # order: the diagonal of the form's image.
+        m11, _, _, m22 = image(form.components)
         cols = []
-        for mu in (form.a0 + form.a1 * 1j, form.a0 - form.a1 * 1j):
+        for mu in (m11, m22):
             v1 = np.array([m[0, 1], mu - m[0, 0]])
             v2 = np.array([mu - m[1, 1], m[1, 0]])
             v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
@@ -330,10 +353,6 @@ class Biquaternion:
 
     def __str__(self) -> str:
         return format_biquaternion(self)
-
-    @classmethod
-    def parse(cls, text: str) -> "Biquaternion":
-        return parse_biquaternion(text)
 
 
 def _coerce(value):

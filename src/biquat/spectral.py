@@ -25,8 +25,8 @@ import numpy as np
 
 from . import clinalg
 from .errors import DimensionError, InvalidPairError, RankDeficientLiftError
-from .matrix import BqMatrix
-from .scalar import Biquaternion, CanonicalCase
+from .matrix import BqMatrix, _block_norm
+from .scalar import Biquaternion, CanonicalCase, image
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ def adjoint_vector(x: BqMatrix) -> np.ndarray:
     """
     if x.cols != 1:
         raise DimensionError(f"expected a column, got shape {x.shape}")
-    c = x.components[:, :, 0]
-    return np.concatenate([c[0] + 1j * c[1], c[2] - 1j * c[3]])
+    m11, _, m21, _ = image(x.components[:, :, 0])
+    return np.concatenate([m11, m21])
 
 
 def _lift_columns(y: np.ndarray) -> BqMatrix:
@@ -65,7 +65,7 @@ def _lift_columns(y: np.ndarray) -> BqMatrix:
     # i*Y_low); a column is nonzero whenever its Y is.
     n = y.shape[0] // 2
     up, low = y[:n], y[n:]
-    return BqMatrix(np.stack([up, -1j * up, low, 1j * low]).reshape(4, n, y.shape[1]))
+    return BqMatrix._wrap(np.stack([up, -1j * up, low, 1j * low]).reshape(4, n, y.shape[1]))
 
 
 def _pair_residual(a: BqMatrix, x: BqMatrix, lam) -> float:
@@ -102,9 +102,8 @@ def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
     w, v = clinalg.eig(a.block_repr())
     x = _lift_columns(v)
     # One product for every column: lam is central, so X * lam scales each
-    # column by its own value, and |block(Y)|_F**2 = 2 * sum_k |Y_k|_F**2.
-    r = (a @ x).components - x.components * w
-    residuals = np.sqrt(2 * np.sum(np.abs(r) ** 2, axis=(0, 1)))
+    # column by its own value.
+    residuals = _block_norm((a @ x).components - x.components * w, axis=(0, 1))
     return [
         EigenPair(complex(w[k]), x.col(k), float(residuals[k])) for k in range(w.size)
     ]
@@ -226,8 +225,8 @@ def derived_complex_eigenvalues(
             f"witness-rotated residual {rotated:.3e} is inconsistent"
         )
     if case is CanonicalCase.GENERIC:
-        tau = form.a1
-        return [lam.a0 + 1j * tau, lam.a0 - 1j * tau]
+        m11, _, _, m22 = image(form.components)  # a0 + i*tau, a0 - i*tau
+        return [m11, m22]
     return [lam.a0]
 
 

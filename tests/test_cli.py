@@ -17,7 +17,7 @@ def write_doc(tmp_path):
     def _write(matrix: BqMatrix) -> str:
         counter[0] += 1
         path = tmp_path / f"m{counter[0]}.json"
-        io.save_matrix(matrix, str(path))
+        path.write_text(io.dumps(matrix) + "\n")
         return str(path)
 
     return _write
@@ -181,6 +181,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "canonical", "--text", text)
         assert code == 3
         assert err.startswith("error: numerical:")
+
+    def test_inverse_beyond_float_range_is_numerical(self, capsys, write_doc):
+        # 1 / 1e-310 exceeds the largest double; the input itself is fine.
+        path = write_doc(single(Biquaternion(1e-310)))
+        code, _, err = run_cli(capsys, "inv", path)
+        assert code == 3
+        assert err.startswith("error: numerical: inv:")
 
 
 class TestStartup:

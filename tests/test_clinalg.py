@@ -247,6 +247,53 @@ class TestSpectralClusters:
         np.testing.assert_allclose(a @ basis, 3 * basis, atol=1e-12)
 
 
+def union_find_clusters(w, gap):
+    """Brute-force single linkage: every pair within ``gap`` is joined, the
+    smaller root adopting the larger, so each root is its cluster's smallest
+    index."""
+    parent = list(range(len(w)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(w)):
+        for j in range(i):
+            if abs(w[i] - w[j]) <= gap:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(w)):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[root] for root in sorted(groups)]
+
+
+class TestClusterEigenvalues:
+    @staticmethod
+    def _inputs(rng):
+        for _ in range(40):
+            k = int(rng.integers(1, 40))
+            yield rng.random(k) + 1j * rng.random(k), 0.08  # random, some chains
+            yield rng.permutation(np.arange(k) * 0.5 + 0j), 0.5  # one chain, gaps exactly at the cut
+            lattice = rng.integers(-2, 3, k) + 1j * rng.integers(-2, 3, k)
+            yield lattice, 1.0  # lattice neighbours join, diagonal ones only through them
+
+    def test_matches_union_find(self, rng):
+        for w, gap in self._inputs(rng):
+            got = [idx.tolist() for idx in clinalg.cluster_eigenvalues(w, gap)]
+            assert got == union_find_clusters(w, gap)
+
+    def test_sorted_input_gives_clusters_in_value_order(self, rng):
+        for w, gap in self._inputs(rng):
+            w = w[np.lexsort((w.imag, w.real))]
+            firsts = [w[idx[0]] for idx in clinalg.cluster_eigenvalues(w, gap)]
+            assert firsts == sorted(firsts, key=lambda z: (z.real, z.imag))
+
+    def test_empty(self):
+        assert clinalg.cluster_eigenvalues(np.zeros(0), 1.0) == []
+
+
 class TestWeyrBlocks:
     @pytest.mark.parametrize(
         "weyr,expected",

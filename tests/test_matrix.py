@@ -55,6 +55,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             a.components[0, 0, 0] = 5
 
+    def test_public_construction_copies(self):
+        c = np.zeros((4, 1, 1), dtype=complex)
+        a = BqMatrix(c)
+        c[0, 0, 0] = 1
+        assert a.entry(0, 0) == Biquaternion(0) and c.flags.writeable
+
+    def test_built_results_are_read_only_and_finite(self, rng):
+        a = sampling.integer_matrix(rng, 2, 2)
+        built = [a @ a, a + a, a - a, -a, a * E1, E1 * a, a.dual(), a.hconj(),
+                 BqMatrix.from_block_repr(a.block_repr()),
+                 BqMatrix.from_interleaved_repr(a.interleaved_repr())]
+        assert not any(b.components.flags.writeable for b in built)
+        big = BqMatrix.from_complex([[1e308]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            big + big
+
     def test_getitem(self, rng):
         a = sampling.integer_matrix(rng, 3, 3)
         assert a[1, 2] == a.entry(1, 2)
