@@ -8,9 +8,9 @@ behind similarity (:func:`spectral_clusters`).
 
 Factorizations are delegated to LAPACK through ``numpy.linalg``; the
 characteristic polynomial uses the Faddeev-LeVerrier recursion, which is
-exact for integer-valued inputs at desk scale.  Spectral structure costs one
-eigendecomposition per matrix, plus SVDs only for repeated eigenvalue
-clusters.
+exact for integer-valued inputs at desk scale.  Spectral verdicts read
+eigenvalues only (plus singular values of one Schur form for repeated
+clusters); eigenvectors are formed only for regular eigenpairs.
 """
 
 from __future__ import annotations
@@ -92,11 +92,19 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
 
 
 def pinv(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with relative singular-value cutoff."""
+    """Moore-Penrose pseudoinverse with relative singular-value cutoff.
+
+    Raises:
+        OverflowError: if the pseudoinverse lies beyond the float range.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = as_cmatrix(a)
-    return np.linalg.pinv(m, rcond=tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.linalg.pinv(m, rcond=tol)
+    if not np.all(np.isfinite(p)):
+        raise OverflowError("the pseudoinverse exceeds the float range")
+    return p
 
 
 def eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -202,27 +210,30 @@ def spectral_clusters(a, tol: float = DEFAULT_TOL) -> list[Cluster]:
     it reaches the block's size or stops growing.  Clusters are sorted by
     (real, imag) of their value.
     """
-    m = as_cmatrix(a)
+    return _clusters(as_cmatrix(a), tol, vectors=True)
+
+
+def _clusters(m: np.ndarray, tol: float, vectors: bool) -> list[Cluster]:
     if _require_square(m) == 0:
         return []
-    w, v = eig(m)
+    w, v = eig(m) if vectors else (eigvals(m), None)
     scale = max(matrix_scale(m), float(np.max(np.abs(w))), 1e-300)
     out, schur = [], None
     for idx in cluster_eigenvalues(w, CLUSTER_TOL * scale):
         if idx.size == 1:
-            out.append(Cluster(complex(w[idx[0]]), (1,), v[:, idx]))
+            out.append(Cluster(complex(w[idx[0]]), (1,), v[:, idx] if vectors else None))
             continue
         if schur is None:  # scipy.linalg is a slow import, needed only here
             from scipy.linalg import lapack
-            t, _, _, q, _, info = lapack.zgees(lambda z: None, m)
+            t, _, _, q, _, info = lapack.zgees(lambda z: None, m, compute_v=vectors)
             if info:
                 raise ConvergenceError(f"Schur iteration failed: info={info}")
-            schur = (t, q)
+            schur = (t, q if vectors else t)  # ztrsen reads q only when it wants it
         d = np.abs(np.diag(schur[0])[:, None] - w[idx]).min(axis=1)
-        t, q, _, k, *_ = lapack.ztrsen(d <= np.sort(d)[idx.size - 1], *schur, job="N")
+        t, q, _, k, *_ = lapack.ztrsen(d <= np.sort(d)[idx.size - 1], *schur, job="N", wantq=vectors)
         lam = complex(np.mean(w[idx]))
         shifted = t[:k, :k] - lam * np.eye(k)
-        _, s, vh = svd(shifted)
+        _, s, vh = svd(shifted) if vectors else (None, singular_values(shifted), None)
         keep = s <= tol * scale
         weyr = [int(np.count_nonzero(keep))]
         if not weyr[0]:
@@ -234,7 +245,7 @@ def spectral_clusters(a, tol: float = DEFAULT_TOL) -> list[Cluster]:
             if nullity <= weyr[-1]:
                 break
             weyr.append(nullity)
-        out.append(Cluster(lam, tuple(weyr), q[:, :k] @ vh[keep].conj().T))
+        out.append(Cluster(lam, tuple(weyr), q[:, :k] @ vh[keep].conj().T if vectors else None))
     out.sort(key=lambda c: (c.value.real, c.value.imag))
     return out
 
@@ -243,15 +254,16 @@ def jordan_fingerprint(a, tol: float = DEFAULT_TOL) -> list[tuple[complex, tuple
     """Eigenvalue clusters with their Weyr characteristics.
 
     Returns ``[(lam, (nu_1, nu_2, ...)), ...]`` where ``nu_k`` is the
-    nullity of ``(a - lam*I)**k`` (see :func:`spectral_clusters`).  Two
-    matrices are similar exactly when their fingerprints match under
-    eigenvalue pairing within tolerance (see :func:`fingerprints_match`).
+    nullity of ``(a - lam*I)**k``: the values and Weyr characteristics of
+    :func:`spectral_clusters`, read from eigenvalues and singular values
+    only.  Two matrices are similar exactly when their fingerprints match
+    under eigenvalue pairing within tolerance (see :func:`fingerprints_match`).
 
     Jordan structure is discontinuous, so the clustering step is a
     documented heuristic: eigenvalues closer than ``CLUSTER_TOL`` times the
     matrix scale are merged.
     """
-    return [(c.value, c.weyr) for c in spectral_clusters(a, tol)]
+    return [(c.value, c.weyr) for c in _clusters(as_cmatrix(a), tol, vectors=False)]
 
 
 def fingerprints_match(
@@ -269,7 +281,8 @@ def fingerprints_match(
         return False
     if not fa:
         return True
-    cost = np.array([[abs(la - lb) for lb, _ in fb] for la, _ in fa])
+    d = np.subtract.outer([la for la, _ in fa], [lb for lb, _ in fb])
+    cost = np.hypot(d.real, d.imag)  # rounds as abs() does; np.abs may not
     rows, cols = linear_sum_assignment(cost)
     for i, j in zip(rows, cols):
         if cost[i, j] > gap or fa[i][1] != fb[j][1]:

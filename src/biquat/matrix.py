@@ -272,8 +272,10 @@ class BqMatrix:
 
     def block_repr(self) -> np.ndarray:
         """The 2m x 2n block complex representation."""
-        m11, m12, m21, m22 = image(self._c)
-        return np.block([[m11, m12], [m21, m22]])
+        m, n = self.shape
+        out = np.empty((2 * m, 2 * n), dtype=complex)
+        out[:m, :n], out[:m, n:], out[m:, :n], out[m:, n:] = image(self._c)
+        return out
 
     @classmethod
     def from_block_repr(cls, m) -> "BqMatrix":

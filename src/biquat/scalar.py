@@ -218,12 +218,16 @@ class Biquaternion:
         Raises:
             NotInvertibleError: when the image has numerical rank below 2
                 (a zero divisor), exactly as the 1x1 :meth:`BqMatrix.inverse`.
+            OverflowError: if the inverse lies beyond the float range.
         """
         if clinalg.rank(self.as_complex_matrix(), tol) < 2:
             raise NotInvertibleError("the image has rank below 2; element is not invertible")
         comps, unit = self._scaled()
         b = Biquaternion(*comps)
-        return b.dual() * (unit / b.weak_norm())
+        try:
+            return b.dual() * (unit / b.weak_norm())
+        except ValueError as exc:  # raised here only for non-finite components
+            raise OverflowError("the inverse exceeds the float range") from exc
 
     # -- complex 2x2 representation -------------------------------------------
 
@@ -336,17 +340,19 @@ class Biquaternion:
     def classify(self, tol: float = clinalg.DEFAULT_TOL) -> ScalarFlags:
         """Structural flags: real (``a.cconj() == a``), pure imaginary
         (``a.cconj() == -a``), scalar (``a.dual() == a``), Hermitian
-        (``a.hconj() == a``), each componentwise within ``tol * |a|``."""
-        scale = tol * self.norm()
+        (``a.hconj() == a``), each componentwise within ``tol * |a|``,
+        decided on the element scaled by a power of two (no overflow)."""
+        b = Biquaternion(*self._scaled()[0])
+        scale = tol * b.norm()
 
         def close(x: "Biquaternion", y: "Biquaternion") -> bool:
             return all(abs(cx - cy) <= scale for cx, cy in zip(x.components, y.components))
 
         return ScalarFlags(
-            real=close(self.cconj(), self),
-            pure_imaginary=close(self.cconj(), -self),
-            scalar=close(self.dual(), self),
-            hermitian=close(self.hconj(), self),
+            real=close(b.cconj(), b),
+            pure_imaginary=close(b.cconj(), -b),
+            scalar=close(b.dual(), b),
+            hermitian=close(b.hconj(), b),
         )
 
     # -- rendering ----------------------------------------------------------

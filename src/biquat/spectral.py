@@ -136,8 +136,7 @@ def regular_right_eigenpair(
     ]
 
     if sum(c.basis.shape[1] for c in clusters) >= 2:
-        orderings = _pair_orderings(clusters)
-        for (lam1, y1), (lam2, y2) in orderings:
+        for (lam1, y1), (lam2, y2) in _pair_orderings(clusters):
             m = np.column_stack([y1, y2])
             if clinalg.rank(m, tol) != 2:
                 continue
@@ -162,31 +161,27 @@ def regular_right_eigenpair(
 
 
 def _pair_orderings(clusters):
-    """Candidate eigenvector pairings, best conditioned first.
+    """Candidate eigenvector pairings, best conditioned first, yielded lazily.
 
     Prefers two distinct clusters with maximal eigenvalue separation (the
-    eigenvalue pair ordered descending), then falls back to orthonormal
-    pairs inside one cluster.
+    eigenvalue pair ordered descending; equal gaps in row-major pair order),
+    then falls back to orthonormal pairs inside one cluster.
     """
-    orderings = []
-    pairs = []
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            li, lj = clusters[i][0], clusters[j][0]
-            pairs.append((abs(li - lj), i, j))
-    pairs.sort(key=lambda p: -p[0])
-    for _, i, j in pairs:
-        li, _, bi = clusters[i]
-        lj, _, bj = clusters[j]
+    values = np.array([c.value for c in clusters])
+    rows, cols = np.triu_indices(len(clusters), 1)
+    d = values[rows] - values[cols]
+    # np.hypot rounds as abs() does; np.abs can differ by an ulp and flip a near-tie.
+    for p in np.argsort(-np.hypot(d.real, d.imag), kind="stable"):
+        li, _, bi = clusters[rows[p]]
+        lj, _, bj = clusters[cols[p]]
         first, second = ((li, bi[:, 0]), (lj, bj[:, 0]))
         if (lj.real, lj.imag) > (li.real, li.imag):
             first, second = second, first
-        orderings.append((first, second))
+        yield first, second
     for lam, _, basis in clusters:
         for k in range(basis.shape[1]):
             for l in range(k + 1, basis.shape[1]):
-                orderings.append(((lam, basis[:, k]), (lam, basis[:, l])))
-    return orderings
+                yield (lam, basis[:, k]), (lam, basis[:, l])
 
 
 def derived_complex_eigenvalues(

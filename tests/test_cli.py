@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "inv", path)
         assert code == 3
         assert err.startswith("error: numerical: inv:")
+
+    def test_pinv_beyond_float_range_is_numerical(self, capsys, write_doc):
+        path = write_doc(single(Biquaternion(1e-310)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "pinv", path)
+        assert code == 3
+        assert err.startswith("error: numerical: pinv:")
+        assert not caught  # no numpy RuntimeWarning either
 
 
 class TestStartup:

@@ -209,6 +209,33 @@ class TestJordanFingerprint:
         gap = clinalg.CLUSTER_TOL * np.linalg.norm(a)
         assert not clinalg.fingerprints_match(fa, fb, gap)
 
+    @pytest.mark.parametrize(
+        "kind", ["generic", "structured", "scalar identity", "nilpotent", "J3 * 1e120", "J3 * 1e-120"]
+    )
+    def test_same_clusters_as_spectral_clusters(self, rng, kind):
+        # The values-only path must give exactly the values and Weyr
+        # characteristics of the path that also forms the kernel bases.
+        j3 = np.kron(np.eye(2), np.eye(3) + np.diag([1.0, 1.0], 1))
+        if kind == "generic":
+            a = random_cmatrix(rng, 6, 6)
+        elif kind == "structured":
+            j = np.diag([2 + 1j, 2 + 1j, 2 + 1j, -1, -1, 3j]).astype(complex)
+            j[0, 1] = j[3, 4] = 1
+            x = np.eye(6) + np.triu(random_cmatrix(rng, 6, 6, integer=True), 1)
+            a = x @ j @ np.linalg.inv(x)
+        elif kind == "scalar identity":
+            a = (0.1 + 0.2j) * np.eye(5)
+        elif kind == "nilpotent":
+            a = np.diag([1.0, 1.0, 0.0, 1.0], 1).astype(complex)
+        elif kind == "J3 * 1e120":
+            a = j3 * 1e120
+        else:
+            a = j3 * 1e-120
+        fp = clinalg.jordan_fingerprint(a)
+        assert fp == [(c.value, c.weyr) for c in clinalg.spectral_clusters(a)]
+        if kind != "generic":
+            assert any(len(weyr) > 1 or weyr[0] > 1 for _, weyr in fp)  # a repeated cluster
+
 
 class TestSpectralClusters:
     @staticmethod

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -135,6 +137,16 @@ class TestBlockRepr:
     def test_basis_entry(self):
         a = BqMatrix.from_entries([[E1]])
         np.testing.assert_array_equal(a.block_repr(), [[1j, 0], [0, -1j]])
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (0, 3), (3, 0), (0, 0)])
+    def test_layout_at_every_shape(self, rng, m, n):
+        a = sampling.unit_matrix(rng, m, n) if m and n else BqMatrix.zeros(m, n)
+        c0, c1, c2, c3 = a.components
+        rep = a.block_repr()
+        assert rep.dtype == complex and rep.shape == (2 * m, 2 * n)
+        np.testing.assert_array_equal(
+            rep, np.block([[c0 + 1j * c1, -(c2 + 1j * c3)], [c2 - 1j * c3, c0 - 1j * c1]])
+        )
 
     def test_homomorphism(self, rng):
         for _ in range(25):
@@ -305,6 +317,12 @@ class TestPinv:
 
     def test_identity(self):
         assert mat_close(BqMatrix.identity(3).pinv(), BqMatrix.identity(3), 1e-14)
+
+    def test_beyond_float_range_raises_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning
+            with pytest.raises(OverflowError):
+                BqMatrix.from_entries([[Biquaternion(1e-310)]]).pinv()
 
     def test_zero_divisor_scalar_case(self):
         x = BqMatrix.from_entries([[ZD]]).pinv()

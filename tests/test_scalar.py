@@ -133,6 +133,15 @@ class TestInverse:
         for inv in (a.inverse(), BqMatrix.from_entries([[a]]).inverse().entry(0, 0)):
             assert np.allclose(np.array(inv.components) * c, [0.5, 0, -0.5, 0], rtol=0, atol=1e-15)
 
+    def test_beyond_float_range_raises_overflow_as_1x1_matrix(self):
+        a = Biquaternion(1e-310)  # 1 / 1e-310 exceeds the largest double
+        with pytest.raises(OverflowError):
+            a.inverse()
+        with pytest.raises(OverflowError):
+            BqMatrix.from_entries([[a]]).inverse()
+        with pytest.raises(OverflowError):
+            a.pinv()
+
     def test_two_sided(self, rng):
         for _ in range(50):
             a = sampling.invertible_integer_scalar(rng)
@@ -349,6 +358,12 @@ class TestClassify:
         flags = Biquaternion(1j).classify()
         assert flags.pure_imaginary and flags.scalar
         assert not flags.real and not flags.hermitian
+
+    @pytest.mark.parametrize("c", [1.5e308, 1e-320])
+    @pytest.mark.parametrize("comps", [(1 + 1j,), (1, 1j), (1j, 1, 0, 1)])
+    def test_any_scale(self, c, comps):
+        # at 1.5e308 the norm overflows; the flags must not all turn True
+        assert Biquaternion(*(z * c for z in comps)).classify() == Biquaternion(*comps).classify()
 
 
 CASE_WEYR = {

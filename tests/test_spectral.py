@@ -328,3 +328,102 @@ class TestSimilarToComplex:
         ok, j = similar_to_complex(a)
         assert ok
         np.testing.assert_allclose(j, [[0, 1], [0, 0]], atol=1e-9)
+
+
+class TestVerdictsReadEigenvaluesOnly:
+    @pytest.fixture
+    def no_vectors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a verdict formed eigenvectors or singular vectors")
+
+        monkeypatch.setattr(clinalg, "eig", refuse)
+        monkeypatch.setattr(clinalg, "svd", refuse)
+
+    def test_generic(self, rng, no_vectors):
+        a = sampling.unit_matrix(rng, 3, 3)
+        p = sampling.invertible_integer_matrix(rng, 3)
+        assert similar(a, p.inverse() @ a @ p)
+        assert diagonalizable(a)
+        assert similar_to_complex(a) == (False, None)
+
+    def test_repeated_clusters(self, rng, no_vectors):
+        # J2(2+i) + J1(2+i) + J1(-1): every cluster of the block image is repeated
+        j = np.diag([2 + 1j, 2 + 1j, 2 + 1j, -1])
+        j[0, 1] = 1
+        p = sampling.invertible_integer_matrix(rng, 4)
+        a = p.inverse() @ BqMatrix.from_complex(j) @ p
+        assert similar(a, BqMatrix.from_complex(j))
+        assert not similar(a, BqMatrix.from_complex(np.diag(np.diag(j))))
+        assert diagonalizable(a)
+        ok, witness = similar_to_complex(a)
+        assert ok
+        np.testing.assert_array_equal(np.diag(witness, 1) != 0, [False, False, True])
+
+
+def _reference_orderings(clusters):
+    """The pairings in the order of a stable sort on ``-abs(gap)``, with
+    Python's ``abs``, then the pairs inside each cluster."""
+    k = len(clusters)
+    pairs = sorted(
+        ((i, j) for i in range(k) for j in range(i + 1, k)),
+        key=lambda p: -abs(clusters[p[0]].value - clusters[p[1]].value),
+    )
+    out = []
+    for i, j in pairs:
+        li, lj = clusters[i].value, clusters[j].value
+        first, second = (i, 0), (j, 0)
+        if (lj.real, lj.imag) > (li.real, li.imag):
+            first, second = second, first
+        out.append((first, second))
+    for i, c in enumerate(clusters):
+        cols = c.basis.shape[1]
+        out.extend(((i, k), (i, l)) for k in range(cols) for l in range(k + 1, cols))
+    return out
+
+
+class TestPairOrderings:
+    @staticmethod
+    def _clusters(values, widths=None):
+        # Column l of cluster i is the unit vector 10*i + l, so every
+        # yielded vector names its cluster and column.
+        widths = widths or [1] * len(values)
+        return [
+            clinalg.Cluster(complex(v), (w,), np.eye(10 * len(values))[:, 10 * i : 10 * i + w])
+            for i, (v, w) in enumerate(zip(values, widths))
+        ]
+
+    @staticmethod
+    def _yielded(clusters):
+        out = []
+        for (l1, y1), (l2, y2) in spectral._pair_orderings(clusters):
+            ids = tuple(divmod(int(np.argmax(y)), 10) for y in (y1, y2))
+            assert (l1, l2) == tuple(clusters[i].value for i, _ in ids)
+            out.append(ids)
+        return out
+
+    def test_exact_gaussian_integer_ties(self):
+        clusters = self._clusters([2, 1j, -1, 0, 1 + 1j, -1j, 1 - 1j], [1, 2, 1, 3, 1, 1, 1])
+        assert self._yielded(clusters) == _reference_orderings(clusters)
+
+    @pytest.mark.parametrize(
+        "z1, z2",
+        [
+            # abs() puts z2 farther from 0 by one ulp; np.abs ties them
+            (1 + 2j, 0.9999999999999999 + 2.0000000000000004j),
+            # abs() ties them; np.abs puts z2 farther by one ulp
+            (1 + 1.4j, 0.9999999999999999 + 1.4000000000000001j),
+        ],
+    )
+    def test_ulp_near_ties_break_as_abs_does(self, z1, z2):
+        assert (abs(z1) < abs(z2)) != (np.abs(z1) < np.abs(z2))
+        clusters = self._clusters([0, z1, z2])
+        assert self._yielded(clusters) == _reference_orderings(clusters)
+
+    def test_random_values(self, rng):
+        values = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        clusters = self._clusters(values, rng.integers(1, 4, 12).tolist())
+        assert self._yielded(clusters) == _reference_orderings(clusters)
+
+    def test_lazy(self):
+        orderings = spectral._pair_orderings(self._clusters([0, 1, 2]))
+        assert iter(orderings) is orderings  # an iterator, not a built list
