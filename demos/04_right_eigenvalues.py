@@ -35,8 +35,9 @@ print("  eigenvector rank:", pair.vector.rank())
 print("  derived complex eigenvalues:", derived_complex_eigenvalues(A, pair))
 
 print("\n== the totally defective 1x1 case ==================================")
-# block image [[0, 1], [0, 0]]: one eigenvalue, one eigenvector; the regular
-# pair comes from a Jordan chain instead of two independent eigenvectors
+# block image [[0, 1], [0, 0]]: one eigenvalue, one eigenvector; the two
+# leading Schur vectors still span an invariant subspace, and the regular
+# pair is read from them as for any other matrix
 D = BqMatrix.from_entries([[Biquaternion(0, 0, -0.5, 0.5j)]])
 pair = regular_right_eigenpair(D)
 print("  lambda =", pair.value)

@@ -24,7 +24,6 @@ from .errors import (
     InvalidPairError,
     NotInvertibleError,
     NotTriangularError,
-    RankDeficientLiftError,
 )
 from .matrix import (
     BqMatrix,
@@ -81,7 +80,6 @@ __all__ = [
     "NotInvertibleError",
     "NotTriangularError",
     "DegenerateWitnessError",
-    "RankDeficientLiftError",
     "InvalidPairError",
     "ConvergenceError",
     "adjoint_vector",

@@ -25,11 +25,11 @@ from .errors import BiquatError, DimensionError
 from .matrix import BqMatrix
 from .scalar import format_biquaternion, format_complex, parse_biquaternion
 from .spectral import (
-    diagonalizable,
+    _diagonalizable,
+    _similar,
+    _similar_to_complex,
     regular_right_eigenpair,
     right_eigenpairs,
-    similar,
-    similar_to_complex,
 )
 from .verify import verify_suite
 
@@ -105,7 +105,7 @@ def cmd_eig(args) -> int:
 
 
 def cmd_regular_eig(args) -> int:
-    pair = regular_right_eigenpair(_load(args.matrix), _tolerance())
+    pair = regular_right_eigenpair(_load(args.matrix))
     print(f"lambda = {format_biquaternion(pair.value, DIGITS)}")
     print(f"residual = {pair.residual:.3e}")
     print(f"vector rank = {pair.vector.rank(_tolerance())}")
@@ -128,40 +128,37 @@ def cmd_canonical(args) -> int:
     return 0
 
 
-def _print_fingerprint(label: str, rep: np.ndarray, tol: float) -> None:
+def _print_fingerprint(label: str, fp) -> None:
     # Jordan structure is decided by tolerance clustering; printing it lets
     # users audit borderline verdicts near multiple eigenvalues.
     print(f"fingerprint {label}:")
-    for lam, weyr in clinalg.jordan_fingerprint(rep, tol):
+    for lam, weyr in fp:
         print(f"  eigenvalue {format_complex(lam, DIGITS)}  weyr {','.join(map(str, weyr))}")
 
 
 def cmd_similar(args) -> int:
-    a, b = _load(args.matrix_a), _load(args.matrix_b)
-    verdict = similar(a, b, _tolerance())
+    verdict, fa, fb = _similar(_load(args.matrix_a), _load(args.matrix_b), _tolerance())
     print("similar" if verdict else "not similar")
-    _print_fingerprint("A", a.block_repr(), _tolerance())
-    _print_fingerprint("B", b.block_repr(), _tolerance())
+    _print_fingerprint("A", fa)
+    _print_fingerprint("B", fb)
     return 0
 
 
 def cmd_diagonalizable(args) -> int:
-    a = _load(args.matrix)
-    verdict = diagonalizable(a, _tolerance())
+    verdict, fp = _diagonalizable(_load(args.matrix), _tolerance())
     print("diagonalizable" if verdict else "not diagonalizable")
-    _print_fingerprint("block representation", a.block_repr(), _tolerance())
+    _print_fingerprint("block representation", fp)
     return 0
 
 
 def cmd_similar_to_complex(args) -> int:
-    a = _load(args.matrix)
-    verdict, j = similar_to_complex(a, _tolerance())
+    verdict, j, fp = _similar_to_complex(_load(args.matrix), _tolerance())
     if not verdict:
         print("not similar to a complex matrix")
     else:
         print("similar to a complex matrix; Jordan-form witness:")
         _print_cmatrix(j)
-    _print_fingerprint("block representation", a.block_repr(), _tolerance())
+    _print_fingerprint("block representation", fp)
     return 0
 
 

@@ -3,19 +3,19 @@
 Every higher-level question about biquaternion matrices is lowered to one of
 the routines here (all operating on plain 2-D ``numpy`` arrays of
 ``complex128``): determinant, SVD-based rank and pseudoinverse,
-eigendecomposition, characteristic polynomial, and the spectral structure
-behind similarity (:func:`spectral_clusters`).
+eigendecomposition, complex Schur form, characteristic polynomial, and the
+Jordan structure behind similarity (:func:`jordan_fingerprint`).
 
-Factorizations are delegated to LAPACK through ``numpy.linalg``; the
-characteristic polynomial uses the Faddeev-LeVerrier recursion, which is
-exact for integer-valued inputs at desk scale.  Spectral verdicts read
-eigenvalues only (plus singular values of one Schur form for repeated
-clusters); eigenvectors are formed only for regular eigenpairs.
+Factorizations are delegated to LAPACK through ``numpy.linalg`` (and
+``zgees``/``ztrsen`` from ``scipy.linalg.lapack``, imported on first use);
+the characteristic polynomial uses the Faddeev-LeVerrier recursion, which is
+exact for integer-valued inputs at desk scale.  Jordan structure reads
+eigenvalues only, plus singular values of one Schur form without vectors
+for repeated clusters; Schur vectors are formed only for regular
+eigenpairs (:func:`schur` with ``vectors=True``).
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -50,28 +50,30 @@ def det(a) -> complex:
 
     Sizes 1-3 use the direct expansion (exact for integer-valued entries);
     larger matrices go through LU with partial pivoting.
+
+    Raises:
+        OverflowError: if the determinant lies beyond the float range.
     """
     m = as_cmatrix(a)
     n = _require_square(m)
-    if n == 0:
-        return 1 + 0j
-    if n == 1:
-        return complex(m[0, 0])
-    if n == 2:
-        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    if n == 3:
-        return complex(
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-    return complex(np.linalg.det(m))
-
-
-def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD ``a = u @ diag(s) @ vh`` with ``s`` non-negative descending."""
-    m = as_cmatrix(a)
-    return np.linalg.svd(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 0:
+            d = 1 + 0j
+        elif n == 1:
+            d = complex(m[0, 0])
+        elif n == 2:
+            d = complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        elif n == 3:
+            d = complex(
+                m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+                - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+                + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+            )
+        else:
+            d = complex(np.linalg.det(m))
+    if not np.isfinite(d):
+        raise OverflowError("the determinant exceeds the float range")
+    return d
 
 
 def singular_values(a) -> np.ndarray:
@@ -187,57 +189,62 @@ def cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
     return [order[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
-class Cluster(NamedTuple):
-    """One eigenvalue cluster of a square matrix ``a``."""
+def schur(a, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Complex Schur form ``a = q @ t @ q^H`` with ``t`` upper triangular.
 
-    value: complex  # mean of the clustered eigenvalues
-    weyr: tuple[int, ...]  # nullities of (a - value*I)**k, k = 1, 2, ...
-    basis: np.ndarray  # orthonormal columns spanning the numerical kernel
-
-
-def spectral_clusters(a, tol: float = DEFAULT_TOL) -> list[Cluster]:
-    """Eigenvalue clusters with their Weyr characteristics and eigenvectors.
-
-    One eigendecomposition yields the spectrum; eigenvalues closer than
-    ``CLUSTER_TOL`` times the matrix scale are merged.  A cluster of one
-    eigenvalue has Weyr characteristic ``(1,)`` and its unit eigenvector as
-    basis.  A repeated cluster is read off the leading block of one complex
-    Schur form reordered to put as many Schur eigenvalues first as the
-    cluster has, the nearest ones, so no other eigenvalue enters its
-    nullities: with ``b`` the block minus ``value*I`` and ``s`` its largest
-    singular value, the k-th nullity counts the singular values of
-    ``b**k / s**(k-1)`` (no overflow) at most ``tol`` times the scale, until
-    it reaches the block's size or stops growing.  Clusters are sorted by
-    (real, imag) of their value.
+    One LAPACK ``zgees`` call (no eigenvalue ordering); ``q`` is unitary, and
+    ``None`` unless ``vectors``.  The leading ``k`` columns of ``q`` span an
+    invariant subspace: ``a @ q[:, :k] == q[:, :k] @ t[:k, :k]``.
     """
-    return _clusters(as_cmatrix(a), tol, vectors=True)
+    from scipy.linalg import lapack  # slow import, needed only for Schur forms
+    m = as_cmatrix(a)
+    _require_square(m)
+    t, _, _, q, _, info = lapack.zgees(lambda z: None, m, compute_v=vectors)
+    if info:
+        raise ConvergenceError(f"Schur iteration failed: info={info}")
+    return t, (q if vectors else None)
 
 
-def _clusters(m: np.ndarray, tol: float, vectors: bool) -> list[Cluster]:
+def jordan_fingerprint(a, tol: float = DEFAULT_TOL) -> list[tuple[complex, tuple[int, ...]]]:
+    """Eigenvalue clusters with their Weyr characteristics.
+
+    Returns ``[(lam, (nu_1, nu_2, ...)), ...]`` sorted by (real, imag) of
+    ``lam``, where ``nu_k`` is the nullity of ``(a - lam*I)**k``.  Two
+    matrices are similar exactly when their fingerprints match under
+    eigenvalue pairing within tolerance (see :func:`fingerprints_match`).
+
+    One eigenvalue computation yields the spectrum; eigenvalues closer than
+    ``CLUSTER_TOL`` times the matrix scale are merged (Jordan structure is
+    discontinuous, so this is a documented heuristic).  A cluster of one
+    eigenvalue has Weyr characteristic ``(1,)``.  A repeated cluster is read
+    off the leading block of one complex Schur form (no Schur vectors)
+    reordered to put as many Schur eigenvalues first as the cluster has, the
+    nearest ones, so no other eigenvalue enters its nullities: with ``b`` the
+    block minus ``lam*I`` and ``s`` its largest singular value, the k-th
+    nullity counts the singular values of ``b**k / s**(k-1)`` (no overflow)
+    at most ``tol`` times the scale, until it reaches the block's size or
+    stops growing.  No eigenvector, Schur vector or singular vector is formed.
+    """
+    m = as_cmatrix(a)
     if _require_square(m) == 0:
         return []
-    w, v = eig(m) if vectors else (eigvals(m), None)
+    w = eigvals(m)
     scale = max(matrix_scale(m), float(np.max(np.abs(w))), 1e-300)
-    out, schur = [], None
+    out, t = [], None
     for idx in cluster_eigenvalues(w, CLUSTER_TOL * scale):
         if idx.size == 1:
-            out.append(Cluster(complex(w[idx[0]]), (1,), v[:, idx] if vectors else None))
+            out.append((complex(w[idx[0]]), (1,)))
             continue
-        if schur is None:  # scipy.linalg is a slow import, needed only here
-            from scipy.linalg import lapack
-            t, _, _, q, _, info = lapack.zgees(lambda z: None, m, compute_v=vectors)
-            if info:
-                raise ConvergenceError(f"Schur iteration failed: info={info}")
-            schur = (t, q if vectors else t)  # ztrsen reads q only when it wants it
-        d = np.abs(np.diag(schur[0])[:, None] - w[idx]).min(axis=1)
-        t, q, _, k, *_ = lapack.ztrsen(d <= np.sort(d)[idx.size - 1], *schur, job="N", wantq=vectors)
+        if t is None:
+            t, _ = schur(m)
+            from scipy.linalg import lapack  # loaded by schur; ztrsen reorders t
+        d = np.abs(np.diag(t)[:, None] - w[idx]).min(axis=1)
+        # With wantq=0, ztrsen reads no Schur vectors; t stands in for them.
+        tk, _, _, k, *_ = lapack.ztrsen(d <= np.sort(d)[idx.size - 1], t, t, job="N", wantq=0)
         lam = complex(np.mean(w[idx]))
-        shifted = t[:k, :k] - lam * np.eye(k)
-        _, s, vh = svd(shifted) if vectors else (None, singular_values(shifted), None)
-        keep = s <= tol * scale
-        weyr = [int(np.count_nonzero(keep))]
-        if not weyr[0]:
-            keep[-1] = True  # wide cluster: best available near-kernel vector
+        shifted = tk[:k, :k] - lam * np.eye(k)
+        s = singular_values(shifted)
+        weyr = [int(np.count_nonzero(s <= tol * scale))]
         power = shifted
         while weyr[-1] < k:
             power = power @ shifted / s[0]
@@ -245,25 +252,9 @@ def _clusters(m: np.ndarray, tol: float, vectors: bool) -> list[Cluster]:
             if nullity <= weyr[-1]:
                 break
             weyr.append(nullity)
-        out.append(Cluster(lam, tuple(weyr), q[:, :k] @ vh[keep].conj().T if vectors else None))
-    out.sort(key=lambda c: (c.value.real, c.value.imag))
+        out.append((lam, tuple(weyr)))
+    out.sort(key=lambda c: (c[0].real, c[0].imag))
     return out
-
-
-def jordan_fingerprint(a, tol: float = DEFAULT_TOL) -> list[tuple[complex, tuple[int, ...]]]:
-    """Eigenvalue clusters with their Weyr characteristics.
-
-    Returns ``[(lam, (nu_1, nu_2, ...)), ...]`` where ``nu_k`` is the
-    nullity of ``(a - lam*I)**k``: the values and Weyr characteristics of
-    :func:`spectral_clusters`, read from eigenvalues and singular values
-    only.  Two matrices are similar exactly when their fingerprints match
-    under eigenvalue pairing within tolerance (see :func:`fingerprints_match`).
-
-    Jordan structure is discontinuous, so the clustering step is a
-    documented heuristic: eigenvalues closer than ``CLUSTER_TOL`` times the
-    matrix scale are merged.
-    """
-    return [(c.value, c.weyr) for c in _clusters(as_cmatrix(a), tol, vectors=False)]
 
 
 def fingerprints_match(
@@ -291,9 +282,16 @@ def fingerprints_match(
 
 
 def weyr_to_block_sizes(weyr: tuple[int, ...]) -> dict[int, int]:
-    """Convert a Weyr sequence into ``{block size: count}``."""
+    """Convert a Weyr characteristic into ``{block size: count}``.
+
+    Raises:
+        ConvergenceError: if the nullity steps grow, so ``weyr`` is no Weyr
+            characteristic (a cluster that merged separate eigenvalues).
+    """
     nu = [0, *weyr]
     diffs = [nu[k] - nu[k - 1] for k in range(1, len(nu))]
+    if any(later > earlier for earlier, later in zip(diffs, diffs[1:])):
+        raise ConvergenceError(f"nullity steps of {weyr} grow: Jordan structure not resolved")
     diffs.append(0)
     counts = {}
     for k in range(1, len(weyr) + 1):

@@ -21,13 +21,10 @@ class DegenerateWitnessError(BiquatError):
     """Constructed similarity witness is not invertible within tolerance."""
 
 
-class RankDeficientLiftError(BiquatError):
-    """Eigenvector lift failed to produce a rank-1 quaternion column."""
-
-
 class InvalidPairError(BiquatError):
     """Supplied eigenpair does not satisfy its defining equation within tolerance."""
 
 
 class ConvergenceError(BiquatError):
-    """Iterative eigenvalue backend failed to converge."""
+    """Iterative eigenvalue backend failed to converge, or its spectrum does
+    not resolve into a Jordan structure."""

@@ -137,7 +137,7 @@ class Biquaternion:
 
     def is_complex(self, tol: float = clinalg.DEFAULT_TOL) -> bool:
         """True when ``|e-part| <= tol * |a|``: the image minus ``a0*I`` is
-        negligible, the full-kernel rule of :func:`clinalg.spectral_clusters`."""
+        negligible, the full-kernel rule of :func:`clinalg.jordan_fingerprint`."""
         (a0, a1, a2, a3), _ = self._scaled()
         vec = abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2
         return vec <= tol**2 * (abs(a0) ** 2 + vec)

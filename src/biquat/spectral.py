@@ -8,13 +8,16 @@ complex right eigenvalues of ``A``, each of its eigenvectors ``Y`` lifts
 through the frame to a quaternion eigenvector ``X``, and two matrices are
 similar over the algebra exactly when their block representations are
 similar over the complex numbers (equal Jordan fingerprints).  Similarity,
-diagonalizability, similarity to a complex matrix and regular eigenpairs all
-read the one spectral structure of :func:`clinalg.spectral_clusters`.
+diagonalizability and similarity to a complex matrix read the one Jordan
+structure of :func:`clinalg.jordan_fingerprint`, from eigenvalues only.
 
 A *regular* right eigenpair is one whose eigenvector has rank 1 as a
 quaternion column (block-representation rank 2); its eigenvalue is a full
-biquaternion obtained by packing two complex eigenpairs (or a Jordan chain,
-in the totally defective case) into a single 2x2 complex cell.
+biquaternion.  Any 2n x 2 complex ``Y`` spanning an invariant subspace of
+the block representation, ``rep @ Y == Y @ T``, lifts to such a pair: ``X``
+is the preimage of ``Y`` and the eigenvalue the preimage of ``T``.  The
+leading two vectors of one complex Schur form are such a ``Y``, with
+orthonormal columns.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clinalg
-from .errors import DimensionError, InvalidPairError, RankDeficientLiftError
+from .errors import DimensionError, InvalidPairError
 from .matrix import BqMatrix, _block_norm
 from .scalar import Biquaternion, CanonicalCase, image
 
@@ -72,24 +75,6 @@ def _pair_residual(a: BqMatrix, x: BqMatrix, lam) -> float:
     return (a @ x - x * lam).norm()
 
 
-# Entries within this relative band of a column's largest magnitude count
-# as tied, so rounding cannot decide which one becomes the phase pivot.
-_PIVOT_BAND = 1 - 1e-8
-
-
-def _normalize_phases(basis: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first entry of (nearly) largest magnitude is
-    real positive (makes constructed eigenvectors deterministic and
-    sign-stable)."""
-    mags = np.abs(basis)
-    rows = np.argmax(mags >= _PIVOT_BAND * mags.max(axis=0), axis=0)
-    pivots = basis[rows, np.arange(basis.shape[1])]
-    phases = np.ones_like(pivots)
-    nonzero = pivots != 0
-    phases[nonzero] = np.abs(pivots[nonzero]) / pivots[nonzero]
-    return basis * phases
-
-
 def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
     """All 2n complex right eigenpairs of a square n x n matrix.
 
@@ -109,79 +94,23 @@ def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
     ]
 
 
-def regular_right_eigenpair(
-    a: BqMatrix, tol: float = clinalg.DEFAULT_TOL
-) -> RegularEigenPair:
+def regular_right_eigenpair(a: BqMatrix) -> RegularEigenPair:
     """One regular right eigenpair; every square matrix has one.
 
-    Two complex eigenpairs with independent eigenvectors are packed into a
-    rank-1 quaternion column and a diagonal 2x2 eigenvalue cell.  When the
-    block representation has a single independent eigenvector in total (one
-    Jordan block), a Jordan chain supplies the second column and the
-    eigenvalue cell picks up the superdiagonal 1.
-
-    Raises:
-        RankDeficientLiftError: if no candidate eigenvector pairing yields
-            a rank-1 lift (numerically pathological input).
+    With ``rep = Q T Q^H`` one complex Schur form of the block
+    representation, ``rep @ Q[:, :2] == Q[:, :2] @ T[:2, :2]``: the two
+    leading Schur vectors lift to the eigenvector and the leading 2x2 block
+    of ``T`` to the eigenvalue.  The Schur vectors are orthonormal, so the
+    eigenvector's block representation has full column rank 2 and the
+    residual is the backward error of the Schur form.
     """
     n = a._require_square()
     if n < 1:
         raise DimensionError("empty matrix has no eigenpairs")
-    rep = a.block_repr()
-    # Descending by (real, imag): the dominant eigenvalue leads, which keeps
-    # small worked examples in their familiar orientation.
-    clusters = [
-        c._replace(basis=_normalize_phases(c.basis))
-        for c in reversed(clinalg.spectral_clusters(rep, tol))
-    ]
-
-    if sum(c.basis.shape[1] for c in clusters) >= 2:
-        for (lam1, y1), (lam2, y2) in _pair_orderings(clusters):
-            m = np.column_stack([y1, y2])
-            if clinalg.rank(m, tol) != 2:
-                continue
-            x = BqMatrix.from_block_repr(m)
-            value = Biquaternion.from_complex_matrix(np.diag([lam1, lam2]))
-            if x.rank(tol).twice_rank != 2:
-                continue
-            return RegularEigenPair(value, x, _pair_residual(a, x, value))
-        raise RankDeficientLiftError("no eigenvector pairing produced a rank-1 lift")
-
-    # Totally defective: one cluster, geometric multiplicity 1.
-    lam1 = clusters[0].value
-    y1 = clusters[0].basis[:, 0]
-    shifted = rep - lam1 * np.eye(2 * n)
-    y2, *_ = np.linalg.lstsq(shifted, y1, rcond=None)
-    m = np.column_stack([y1, y2])
-    if clinalg.rank(m, tol) != 2:
-        raise RankDeficientLiftError("Jordan chain lift is rank deficient")
-    x = BqMatrix.from_block_repr(m)
-    value = Biquaternion.from_complex_matrix(np.array([[lam1, 1.0], [0.0, lam1]]))
+    t, q = clinalg.schur(a.block_repr(), vectors=True)
+    x = BqMatrix.from_block_repr(q[:, :2])
+    value = Biquaternion.from_complex_matrix(t[:2, :2])
     return RegularEigenPair(value, x, _pair_residual(a, x, value))
-
-
-def _pair_orderings(clusters):
-    """Candidate eigenvector pairings, best conditioned first, yielded lazily.
-
-    Prefers two distinct clusters with maximal eigenvalue separation (the
-    eigenvalue pair ordered descending; equal gaps in row-major pair order),
-    then falls back to orthonormal pairs inside one cluster.
-    """
-    values = np.array([c.value for c in clusters])
-    rows, cols = np.triu_indices(len(clusters), 1)
-    d = values[rows] - values[cols]
-    # np.hypot rounds as abs() does; np.abs can differ by an ulp and flip a near-tie.
-    for p in np.argsort(-np.hypot(d.real, d.imag), kind="stable"):
-        li, _, bi = clusters[rows[p]]
-        lj, _, bj = clusters[cols[p]]
-        first, second = ((li, bi[:, 0]), (lj, bj[:, 0]))
-        if (lj.real, lj.imag) > (li.real, li.imag):
-            first, second = second, first
-        yield first, second
-    for lam, _, basis in clusters:
-        for k in range(basis.shape[1]):
-            for l in range(k + 1, basis.shape[1]):
-                yield (lam, basis[:, k]), (lam, basis[:, l])
 
 
 def derived_complex_eigenvalues(
@@ -232,15 +161,7 @@ def similar(a: BqMatrix, b: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> bool:
     numbers, decided by comparing Jordan fingerprints under tolerance
     pairing of eigenvalue clusters.
     """
-    a._require_square()
-    b._require_square()
-    if a.shape != b.shape:
-        raise DimensionError(f"size mismatch: {a.shape} vs {b.shape}")
-    ra, rb = a.block_repr(), b.block_repr()
-    fa = clinalg.jordan_fingerprint(ra, tol)
-    fb = clinalg.jordan_fingerprint(rb, tol)
-    scale = max(clinalg.matrix_scale(ra), clinalg.matrix_scale(rb), 1e-300)
-    return clinalg.fingerprints_match(fa, fb, clinalg.CLUSTER_TOL * scale)
+    return _similar(a, b, tol)[0]
 
 
 def diagonalizable(a: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> bool:
@@ -252,14 +173,7 @@ def diagonalizable(a: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> bool:
     its algebraic multiplicity.  The interleaved representation is
     permutation-similar to the block one, so it has the same blocks.
     """
-    a._require_square()
-    fp = clinalg.jordan_fingerprint(a.block_repr(), tol)
-    for _, weyr in fp:
-        mult = weyr[-1]
-        nu2 = weyr[1] if len(weyr) > 1 else weyr[0]
-        if nu2 != mult:
-            return False
-    return True
+    return _diagonalizable(a, tol)[0]
 
 
 def similar_to_complex(
@@ -271,14 +185,49 @@ def similar_to_complex(
     doubled: every (eigenvalue, block size) class occurs an even number of
     times.  On success, returns a complex n x n Jordan-form witness built
     from half of each class.
+
+    Raises:
+        ConvergenceError: if a cluster's nullities are no Weyr
+            characteristic (see :func:`clinalg.weyr_to_block_sizes`).
     """
+    return _similar_to_complex(a, tol)[:2]
+
+
+# Each verdict below also returns the fingerprints it was decided from, so
+# the CLI prints the very structure behind the verdict without recomputing it.
+
+
+def _similar(a: BqMatrix, b: BqMatrix, tol: float):
+    a._require_square()
+    b._require_square()
+    if a.shape != b.shape:
+        raise DimensionError(f"size mismatch: {a.shape} vs {b.shape}")
+    ra, rb = a.block_repr(), b.block_repr()
+    fa = clinalg.jordan_fingerprint(ra, tol)
+    fb = clinalg.jordan_fingerprint(rb, tol)
+    scale = max(clinalg.matrix_scale(ra), clinalg.matrix_scale(rb), 1e-300)
+    return clinalg.fingerprints_match(fa, fb, clinalg.CLUSTER_TOL * scale), fa, fb
+
+
+def _diagonalizable(a: BqMatrix, tol: float):
+    a._require_square()
+    fp = clinalg.jordan_fingerprint(a.block_repr(), tol)
+    for _, weyr in fp:
+        mult = weyr[-1]
+        nu2 = weyr[1] if len(weyr) > 1 else weyr[0]
+        if nu2 != mult:
+            return False, fp
+    return True, fp
+
+
+def _similar_to_complex(a: BqMatrix, tol: float):
     n = a._require_square()
     fp = clinalg.jordan_fingerprint(a.block_repr(), tol)
     blocks: list[tuple[complex, int]] = []
     for lam, weyr in fp:
         for size, count in clinalg.weyr_to_block_sizes(weyr).items():
             if count % 2:
-                return False, None
+                return False, None, fp
             blocks.extend([(lam, size)] * (count // 2))
     blocks.sort(key=lambda item: (item[0].real, item[0].imag, item[1]))
     j = np.zeros((n, n), dtype=complex)
@@ -288,4 +237,4 @@ def similar_to_complex(
             np.ones(size - 1), 1
         )
         pos += size
-    return True, j
+    return True, j, fp

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import biquat
-from biquat import E1, E2, Biquaternion, BqMatrix, io, sampling
+from biquat import E1, E2, Biquaternion, BqMatrix, cli, clinalg, io, sampling
 from biquat.cli import main
+from conftest import merged_cluster_matrix
 
 
 @pytest.fixture
@@ -137,6 +138,29 @@ class TestNumericCommands:
         assert out.startswith("similar to a complex matrix")
 
 
+class TestSimilarityVerbs:
+    @pytest.mark.parametrize("verb, documents", [("similar", 2), ("diagonalizable", 1), ("similar-to-complex", 1)])
+    def test_one_fingerprint_per_matrix(self, capsys, write_doc, monkeypatch, verb, documents):
+        # the verdict and the printed fingerprints come from one computation
+        fingerprints, reads = [], []
+        fingerprint, tolerance = clinalg.jordan_fingerprint, cli._tolerance
+
+        def counted_fingerprint(*args, **kwargs):
+            fingerprints.append(args)
+            return fingerprint(*args, **kwargs)
+
+        def counted_tolerance():
+            reads.append(None)
+            return tolerance()
+
+        monkeypatch.setattr(clinalg, "jordan_fingerprint", counted_fingerprint)
+        monkeypatch.setattr(cli, "_tolerance", counted_tolerance)
+        paths = [write_doc(BqMatrix.diag([E1, -E1])) for _ in range(documents)]
+        code, out, _ = run_cli(capsys, verb, *paths)
+        assert code == 0 and "fingerprint" in out
+        assert len(fingerprints) == documents and len(reads) == 1
+
+
 class TestExitCodes:
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -199,6 +223,21 @@ class TestExitCodes:
         assert err.startswith("error: numerical: pinv:")
         assert not caught  # no numpy RuntimeWarning either
 
+    def test_det_beyond_float_range_is_numerical(self, capsys, write_doc):
+        # the block determinant 1e400 exceeds the largest double
+        path = write_doc(single(Biquaternion(1e200)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "det", path)
+        assert code == 3
+        assert err.startswith("error: numerical: det:")
+        assert not caught  # no numpy RuntimeWarning either
+
+    def test_unresolved_jordan_structure_is_numerical(self, capsys, write_doc):
+        code, _, err = run_cli(capsys, "similar-to-complex", write_doc(merged_cluster_matrix()))
+        assert code == 3
+        assert err.startswith("error: numerical: similar-to-complex:")
+
 
 class TestStartup:
     def test_import_leaves_out_scipy_optimize(self):
@@ -207,6 +246,16 @@ class TestStartup:
         src = os.path.dirname(os.path.dirname(biquat.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         code = "import sys, biquat; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_out_scipy(self):
+        # scipy serves Schur forms and cluster pairing, loaded on first use
+        src = os.path.dirname(os.path.dirname(biquat.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, biquat; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from biquat import clinalg
-from biquat.errors import DimensionError
+from biquat.errors import ConvergenceError, DimensionError
 
 I2 = np.eye(2)
 PAULI1 = np.array([[1j, 0], [0, -1j]])
@@ -40,27 +42,66 @@ class TestDet:
             assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
 
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_beyond_float_range_raises_without_warnings(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                clinalg.det(1e200 * np.eye(n))
+
+
 class TestSvd:
+    """Singular values only; no routine forms singular vectors."""
+
     def test_zero(self):
-        _, s, _ = clinalg.svd(np.zeros((3, 2)))
-        np.testing.assert_array_equal(s, [0, 0])
+        np.testing.assert_array_equal(clinalg.singular_values(np.zeros((3, 2))), [0, 0])
 
     def test_identity(self):
-        _, s, _ = clinalg.svd(I2)
-        np.testing.assert_array_equal(s, [1, 1])
+        np.testing.assert_array_equal(clinalg.singular_values(I2), [1, 1])
 
     def test_diagonal(self):
-        _, s, _ = clinalg.svd(np.array([[0, 0], [0, 2]], dtype=complex))
+        s = clinalg.singular_values(np.array([[0, 0], [0, 2]], dtype=complex))
         np.testing.assert_array_equal(s, [2, 0])
 
     def test_reconstruction(self, rng):
+        # a = u @ diag(s) @ vh built from chosen s gives back s, descending
         for m, n in [(3, 5), (20, 20), (7, 2)]:
-            a = random_cmatrix(rng, m, n)
-            u, s, vh = clinalg.svd(a)
+            u, _ = np.linalg.qr(random_cmatrix(rng, m, m))
+            v, _ = np.linalg.qr(random_cmatrix(rng, n, n))
+            s = np.sort(rng.uniform(0.5, 4.0, min(m, n)))[::-1]
             smat = np.zeros((m, n))
             np.fill_diagonal(smat, s)
-            err = np.linalg.norm(u @ smat @ vh - a)
-            assert err <= 1e-12 * np.linalg.norm(a)
+            got = clinalg.singular_values(u @ smat @ v.conj().T)
+            np.testing.assert_allclose(got, s, rtol=1e-12)
+
+
+class TestSchur:
+    def test_reconstruction(self, rng):
+        a = random_cmatrix(rng, 6, 6)
+        t, q = clinalg.schur(a, vectors=True)
+        np.testing.assert_array_equal(np.tril(t, -1), 0)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(6), atol=1e-14)
+        assert np.linalg.norm(q @ t @ q.conj().T - a) <= 1e-14 * np.linalg.norm(a)
+
+    def test_leading_columns_are_invariant(self, rng):
+        a = random_cmatrix(rng, 5, 5, integer=True)
+        t, q = clinalg.schur(a, vectors=True)
+        y = q[:, :2]
+        assert np.linalg.norm(a @ y - y @ t[:2, :2]) <= 1e-14 * np.linalg.norm(a)
+
+    def test_without_vectors(self, rng):
+        a = random_cmatrix(rng, 5, 5)
+        t, q = clinalg.schur(a)
+        assert q is None
+        np.testing.assert_array_equal(np.tril(t, -1), 0)
+        diag = np.diag(t)
+        np.testing.assert_allclose(
+            diag[np.lexsort((diag.imag, diag.real))], clinalg.eigvals(a), atol=1e-12
+        )
+
+    def test_non_square(self):
+        with pytest.raises(DimensionError):
+            clinalg.schur(np.ones((2, 3)))
 
 
 class TestRank:
@@ -209,12 +250,18 @@ class TestJordanFingerprint:
         gap = clinalg.CLUSTER_TOL * np.linalg.norm(a)
         assert not clinalg.fingerprints_match(fa, fb, gap)
 
-    @pytest.mark.parametrize(
-        "kind", ["generic", "structured", "scalar identity", "nilpotent", "J3 * 1e120", "J3 * 1e-120"]
-    )
-    def test_same_clusters_as_spectral_clusters(self, rng, kind):
-        # The values-only path must give exactly the values and Weyr
-        # characteristics of the path that also forms the kernel bases.
+    # Weyr characteristics in fingerprint order, known by construction
+    WEYR = {
+        "generic": [(1,)] * 6,
+        "structured": [(1, 2), (1,), (2, 3)],  # J2(-1), J1(3i), J2(2+i) + J1(2+i)
+        "scalar identity": [(5,)],
+        "nilpotent": [(2, 4, 5)],  # J3(0) + J2(0)
+        "J3 * 1e120": [(2, 4, 6)],
+        "J3 * 1e-120": [(2, 4, 6)],
+    }
+
+    @pytest.mark.parametrize("kind", list(WEYR))
+    def test_weyr_known_by_construction(self, rng, kind):
         j3 = np.kron(np.eye(2), np.eye(3) + np.diag([1.0, 1.0], 1))
         if kind == "generic":
             a = random_cmatrix(rng, 6, 6)
@@ -232,46 +279,44 @@ class TestJordanFingerprint:
         else:
             a = j3 * 1e-120
         fp = clinalg.jordan_fingerprint(a)
-        assert fp == [(c.value, c.weyr) for c in clinalg.spectral_clusters(a)]
-        if kind != "generic":
-            assert any(len(weyr) > 1 or weyr[0] > 1 for _, weyr in fp)  # a repeated cluster
+        assert [weyr for _, weyr in fp] == self.WEYR[kind]
+        spectrum = clinalg.eigvals(a)
+        for lam, _ in fp:
+            assert np.min(np.abs(spectrum - lam)) <= 1e-6 * np.linalg.norm(a)
 
-
-class TestSpectralClusters:
     @staticmethod
     def _count(monkeypatch, name):
         calls = []
         original = getattr(clinalg, name)
 
         def counted(*args, **kwargs):
-            calls.append(name)
+            calls.append(kwargs.get("vectors", False))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(clinalg, name, counted)
         return calls
 
-    def test_one_eig_and_no_svd_for_simple_eigenvalues(self, monkeypatch, rng):
+    def test_one_eigvals_and_no_svd_for_simple_eigenvalues(self, monkeypatch, rng):
         a = random_cmatrix(rng, 6, 6)
-        eigs = self._count(monkeypatch, "eig")
-        svds = self._count(monkeypatch, "svd") + self._count(monkeypatch, "singular_values")
-        clusters = clinalg.spectral_clusters(a)
-        assert len(eigs) == 1 and not svds
-        assert [c.weyr for c in clusters] == [(1,)] * 6
-        for c in clusters:
-            y = c.basis[:, 0]
-            assert np.linalg.norm(a @ y - c.value * y) <= 1e-12 * np.linalg.norm(a)
+        eigs = self._count(monkeypatch, "eigvals")
+        svds = self._count(monkeypatch, "singular_values")
+        schurs = self._count(monkeypatch, "schur")
+        fp = clinalg.jordan_fingerprint(a)
+        assert len(eigs) == 1 and not svds and not schurs
+        assert [weyr for _, weyr in fp] == [(1,)] * 6
+        for lam, _ in fp:
+            assert np.linalg.svd(a - lam * np.eye(6), compute_uv=False)[-1] <= 1e-12 * np.linalg.norm(a)
 
-    def test_repeated_cluster_kernel_basis(self, monkeypatch):
-        # J2(3) + J1(3) + J1(5): nu = (2, 3) at 3, kernel spanned by e0, e2
+    def test_repeated_cluster(self, monkeypatch):
+        # J2(3) + J1(3) + J1(5): nu = (2, 3) at 3, from one Schur form without vectors
         a = np.diag([3.0, 3.0, 3.0, 5.0]).astype(complex)
         a[0, 1] = 1.0
-        eigs = self._count(monkeypatch, "eig")
-        (three, five) = clinalg.spectral_clusters(a)
-        assert len(eigs) == 1
-        assert three.weyr == (2, 3) and five.weyr == (1,)
-        basis = three.basis
-        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(a @ basis, 3 * basis, atol=1e-12)
+        eigs = self._count(monkeypatch, "eigvals")
+        schurs = self._count(monkeypatch, "schur")
+        (three, five) = clinalg.jordan_fingerprint(a)
+        assert len(eigs) == 1 and schurs == [False]
+        assert three[1] == (2, 3) and five[1] == (1,)
+        assert abs(three[0] - 3) <= 1e-14 and abs(five[0] - 5) <= 1e-14
 
 
 def union_find_clusters(w, gap):
@@ -334,6 +379,12 @@ class TestWeyrBlocks:
     )
     def test_conversion(self, weyr, expected):
         assert clinalg.weyr_to_block_sizes(weyr) == expected
+
+    @pytest.mark.parametrize("weyr", [(2, 6, 8), (2, 8), (1, 3)])
+    def test_growing_steps_are_rejected(self, weyr):
+        # nullity steps of a Weyr characteristic never grow
+        with pytest.raises(ConvergenceError):
+            clinalg.weyr_to_block_sizes(weyr)
 
 
 def test_as_cmatrix_rejects_nonfinite():

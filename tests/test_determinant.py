@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,14 @@ class TestCentralDet:
             lhs = central_det(x.inverse() @ a @ x)
             rhs = central_det(a)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
+
+    @pytest.mark.parametrize("entry", [1e200, Biquaternion(0, 1e200)])
+    def test_beyond_float_range_raises(self, entry):
+        # the block determinant is 1e400 (the weak norm of the entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                central_det(single(entry))
 
     def test_sqrt_accessor(self):
         assert central_det_sqrt(BqMatrix.identity(2)) == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biquat import (
     E1,
@@ -8,6 +10,7 @@ from biquat import (
     ONE,
     Biquaternion,
     BqMatrix,
+    ConvergenceError,
     DimensionError,
     InvalidPairError,
     adjoint_vector,
@@ -22,7 +25,7 @@ from biquat import (
     spectral,
 )
 from biquat.spectral import RegularEigenPair
-from conftest import bq_close, mat_close
+from conftest import bq_close, mat_close, merged_cluster_matrix
 
 NULL_SCALAR = Biquaternion(0, 0, -0.5, 0.5j)  # block image [[0,1],[0,0]]
 
@@ -123,21 +126,6 @@ class TestRightEigenpairs:
         assert all(p.residual <= 1e-12 * a.norm() for p in pairs[1:])
 
 
-class TestNormalizePhases:
-    def test_rounding_tie_takes_the_first_entry(self):
-        # |1.0000000000000002j| > |1| only by rounding; the first entry is the pivot
-        tied = spectral._normalize_phases(np.array([[1.0], [1.0000000000000002j]]))
-        exact = spectral._normalize_phases(np.array([[1.0], [1.0j]]))
-        np.testing.assert_allclose(tied, exact, rtol=0, atol=1e-15)
-        assert tied[0, 0] == 1.0
-
-    def test_clear_maximum_and_zero_column(self):
-        basis = np.array([[0.5j, 0.0], [-2.0, 0.0]])
-        out = spectral._normalize_phases(basis)
-        np.testing.assert_allclose(out[:, 0], [-0.5j, 2.0], rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(out[:, 1], [0.0, 0.0])
-
-
 class TestRegularEigenpair:
     def test_basis_entry(self):
         pair = regular_right_eigenpair(single(E1))
@@ -165,6 +153,38 @@ class TestRegularEigenpair:
             pair = regular_right_eigenpair(a)
             assert pair.residual <= 1e-9 * a.norm()
             assert pair.vector.rank().twice_rank == 2
+
+
+# block image [[1+2i, 2], [2, 1-2i]]: one Jordan block of size 2 at 1
+JORDAN_ELEMENT = Biquaternion(1, 2, 0, 2j)
+
+GRID_MATRICES = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(-5, 5), min_size=4 * n * n, max_size=4 * n * n).map(
+        lambda v: BqMatrix(np.array(v, dtype=complex).reshape(4, n, n))
+    )
+)
+
+
+class TestRegularEigenpairScaleFree:
+    """The Schur construction holds at any scale, defective input included."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.one_of(GRID_MATRICES, st.just(single(JORDAN_ELEMENT))), st.integers(-100, 100))
+    @example(single(JORDAN_ELEMENT), -9)
+    @example(single(JORDAN_ELEMENT), 11)
+    @example(single(JORDAN_ELEMENT - 1), 30)  # nilpotent
+    def test_residual_rank_and_spectrum(self, a, k):
+        ac = a * 10.0**k
+        pair = regular_right_eigenpair(ac)
+        assert pair.residual <= 1e-13 * ac.norm()
+        assert pair.vector.rank().twice_rank == 2
+        # each eigenvalue of the value's image is an eigenvalue of a nearby
+        # block representation (backward error), which also holds for
+        # eigenvalues of Jordan blocks that rounding splits
+        rep = ac.block_repr()
+        eye = np.eye(rep.shape[0])
+        for mu in np.linalg.eigvals(pair.value.as_complex_matrix()):
+            assert np.linalg.svd(rep - mu * eye, compute_uv=False)[-1] <= 1e-13 * ac.norm()
 
 
 class TestDerivedEigenvalues:
@@ -320,6 +340,12 @@ class TestSimilarToComplex:
         assert ok
         np.testing.assert_allclose(j, c * np.eye(3), atol=1e-15)
 
+    def test_unresolved_cluster_is_a_numerical_error(self):
+        # J1(l1) + J3(l2), |l1 - l2| = 1.3e-4 at scale 1e21: the merged
+        # cluster's nullity steps grow, (2, 6, 8), which is no Weyr characteristic
+        with pytest.raises(ConvergenceError):
+            similar_to_complex(merged_cluster_matrix())
+
     def test_jordan_witness_structure(self):
         # doubled nilpotent 2-block: J should be one 2-block
         rep = np.zeros((4, 4), dtype=complex)
@@ -334,10 +360,17 @@ class TestVerdictsReadEigenvaluesOnly:
     @pytest.fixture
     def no_vectors(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a verdict formed eigenvectors or singular vectors")
+            raise AssertionError("a verdict formed eigenvectors or Schur vectors")
+
+        schur = clinalg.schur
+
+        def schur_without_vectors(a, vectors=False):
+            if vectors:
+                refuse()
+            return schur(a)
 
         monkeypatch.setattr(clinalg, "eig", refuse)
-        monkeypatch.setattr(clinalg, "svd", refuse)
+        monkeypatch.setattr(clinalg, "schur", schur_without_vectors)
 
     def test_generic(self, rng, no_vectors):
         a = sampling.unit_matrix(rng, 3, 3)
@@ -358,72 +391,3 @@ class TestVerdictsReadEigenvaluesOnly:
         ok, witness = similar_to_complex(a)
         assert ok
         np.testing.assert_array_equal(np.diag(witness, 1) != 0, [False, False, True])
-
-
-def _reference_orderings(clusters):
-    """The pairings in the order of a stable sort on ``-abs(gap)``, with
-    Python's ``abs``, then the pairs inside each cluster."""
-    k = len(clusters)
-    pairs = sorted(
-        ((i, j) for i in range(k) for j in range(i + 1, k)),
-        key=lambda p: -abs(clusters[p[0]].value - clusters[p[1]].value),
-    )
-    out = []
-    for i, j in pairs:
-        li, lj = clusters[i].value, clusters[j].value
-        first, second = (i, 0), (j, 0)
-        if (lj.real, lj.imag) > (li.real, li.imag):
-            first, second = second, first
-        out.append((first, second))
-    for i, c in enumerate(clusters):
-        cols = c.basis.shape[1]
-        out.extend(((i, k), (i, l)) for k in range(cols) for l in range(k + 1, cols))
-    return out
-
-
-class TestPairOrderings:
-    @staticmethod
-    def _clusters(values, widths=None):
-        # Column l of cluster i is the unit vector 10*i + l, so every
-        # yielded vector names its cluster and column.
-        widths = widths or [1] * len(values)
-        return [
-            clinalg.Cluster(complex(v), (w,), np.eye(10 * len(values))[:, 10 * i : 10 * i + w])
-            for i, (v, w) in enumerate(zip(values, widths))
-        ]
-
-    @staticmethod
-    def _yielded(clusters):
-        out = []
-        for (l1, y1), (l2, y2) in spectral._pair_orderings(clusters):
-            ids = tuple(divmod(int(np.argmax(y)), 10) for y in (y1, y2))
-            assert (l1, l2) == tuple(clusters[i].value for i, _ in ids)
-            out.append(ids)
-        return out
-
-    def test_exact_gaussian_integer_ties(self):
-        clusters = self._clusters([2, 1j, -1, 0, 1 + 1j, -1j, 1 - 1j], [1, 2, 1, 3, 1, 1, 1])
-        assert self._yielded(clusters) == _reference_orderings(clusters)
-
-    @pytest.mark.parametrize(
-        "z1, z2",
-        [
-            # abs() puts z2 farther from 0 by one ulp; np.abs ties them
-            (1 + 2j, 0.9999999999999999 + 2.0000000000000004j),
-            # abs() ties them; np.abs puts z2 farther by one ulp
-            (1 + 1.4j, 0.9999999999999999 + 1.4000000000000001j),
-        ],
-    )
-    def test_ulp_near_ties_break_as_abs_does(self, z1, z2):
-        assert (abs(z1) < abs(z2)) != (np.abs(z1) < np.abs(z2))
-        clusters = self._clusters([0, z1, z2])
-        assert self._yielded(clusters) == _reference_orderings(clusters)
-
-    def test_random_values(self, rng):
-        values = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        clusters = self._clusters(values, rng.integers(1, 4, 12).tolist())
-        assert self._yielded(clusters) == _reference_orderings(clusters)
-
-    def test_lazy(self):
-        orderings = spectral._pair_orderings(self._clusters([0, 1, 2]))
-        assert iter(orderings) is orderings  # an iterator, not a built list
