@@ -7,19 +7,18 @@ with 17 significant digits, enough for a bit-exact double round trip.
 Exit codes: 0 success, 1 input parse error, 2 dimension error, 3 numerical
 failure (singular input, non-convergence, overflow, failed verification).
 
-The environment variable ``BIQUAT_TOL`` overrides the default relative
-tolerance used for rank decisions, inversion, and pseudoinversion.
+Every verb decides with the library's fixed thresholds: the rank rule
+``clinalg.DEFAULT_TOL`` and the eigenvalue cluster rule ``clinalg.CLUSTER_TOL``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
-from . import clinalg, io
+from . import io
 from .determinant import central_charpoly, central_det
 from .errors import BiquatError, DimensionError
 from .matrix import BqMatrix
@@ -34,16 +33,6 @@ from .spectral import (
 from .verify import verify_suite
 
 DIGITS = 17
-
-
-def _tolerance() -> float:
-    raw = os.environ.get("BIQUAT_TOL")
-    if raw is None:
-        return clinalg.DEFAULT_TOL
-    tol = float(raw)
-    if tol <= 0:
-        raise ValueError(f"BIQUAT_TOL must be positive, got {raw!r}")
-    return tol
 
 
 def _print_cmatrix(m: np.ndarray) -> None:
@@ -68,17 +57,17 @@ def cmd_repr(args) -> int:
 
 
 def cmd_inv(args) -> int:
-    _emit(_load(args.matrix).inverse(_tolerance()))
+    _emit(_load(args.matrix).inverse())
     return 0
 
 
 def cmd_pinv(args) -> int:
-    _emit(_load(args.matrix).pinv(_tolerance()))
+    _emit(_load(args.matrix).pinv())
     return 0
 
 
 def cmd_rank(args) -> int:
-    print(_load(args.matrix).rank(_tolerance()))
+    print(_load(args.matrix).rank())
     return 0
 
 
@@ -108,7 +97,7 @@ def cmd_regular_eig(args) -> int:
     pair = regular_right_eigenpair(_load(args.matrix))
     print(f"lambda = {format_biquaternion(pair.value, DIGITS)}")
     print(f"residual = {pair.residual:.3e}")
-    print(f"vector rank = {pair.vector.rank(_tolerance())}")
+    print(f"vector rank = {pair.vector.rank()}")
     for i in range(pair.vector.rows):
         print(f"x[{i}] = {format_biquaternion(pair.vector.entry(i, 0), DIGITS)}")
     return 0
@@ -137,7 +126,7 @@ def _print_fingerprint(label: str, fp) -> None:
 
 
 def cmd_similar(args) -> int:
-    verdict, fa, fb = _similar(_load(args.matrix_a), _load(args.matrix_b), _tolerance())
+    verdict, fa, fb = _similar(_load(args.matrix_a), _load(args.matrix_b))
     print("similar" if verdict else "not similar")
     _print_fingerprint("A", fa)
     _print_fingerprint("B", fb)
@@ -145,14 +134,14 @@ def cmd_similar(args) -> int:
 
 
 def cmd_diagonalizable(args) -> int:
-    verdict, fp = _diagonalizable(_load(args.matrix), _tolerance())
+    verdict, fp = _diagonalizable(_load(args.matrix))
     print("diagonalizable" if verdict else "not diagonalizable")
     _print_fingerprint("block representation", fp)
     return 0
 
 
 def cmd_similar_to_complex(args) -> int:
-    verdict, j, fp = _similar_to_complex(_load(args.matrix), _tolerance())
+    verdict, j, fp = _similar_to_complex(_load(args.matrix))
     if not verdict:
         print("not similar to a complex matrix")
     else:

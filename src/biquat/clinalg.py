@@ -83,27 +83,23 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def rank(a, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above ``tol`` times the largest one."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def rank(a) -> int:
+    """Numerical rank: singular values above ``DEFAULT_TOL`` times the largest one."""
     s = singular_values(a)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > DEFAULT_TOL * s[0]))
 
 
-def pinv(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with relative singular-value cutoff.
+def pinv(a) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with relative singular-value cutoff ``DEFAULT_TOL``.
 
     Raises:
         OverflowError: if the pseudoinverse lies beyond the float range.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = as_cmatrix(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.linalg.pinv(m, rcond=tol)
+        p = np.linalg.pinv(m, rcond=DEFAULT_TOL)
     if not np.all(np.isfinite(p)):
         raise OverflowError("the pseudoinverse exceeds the float range")
     return p
@@ -205,7 +201,7 @@ def schur(a, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     return t, (q if vectors else None)
 
 
-def jordan_fingerprint(a, tol: float = DEFAULT_TOL) -> list[tuple[complex, tuple[int, ...]]]:
+def jordan_fingerprint(a) -> list[tuple[complex, tuple[int, ...]]]:
     """Eigenvalue clusters with their Weyr characteristics.
 
     Returns ``[(lam, (nu_1, nu_2, ...)), ...]`` sorted by (real, imag) of
@@ -222,8 +218,13 @@ def jordan_fingerprint(a, tol: float = DEFAULT_TOL) -> list[tuple[complex, tuple
     nearest ones, so no other eigenvalue enters its nullities: with ``b`` the
     block minus ``lam*I`` and ``s`` its largest singular value, the k-th
     nullity counts the singular values of ``b**k / s**(k-1)`` (no overflow)
-    at most ``tol`` times the scale, until it reaches the block's size or
-    stops growing.  No eigenvector, Schur vector or singular vector is formed.
+    at most ``DEFAULT_TOL`` times the scale, until it reaches the block's
+    size or stops growing.  No eigenvector, Schur vector or singular vector
+    is formed.
+
+    Raises:
+        ConvergenceError: if a cluster's nullities are no Weyr characteristic
+            (see :func:`weyr_to_block_sizes`): the cluster is unresolved.
     """
     m = as_cmatrix(a)
     if _require_square(m) == 0:
@@ -244,14 +245,15 @@ def jordan_fingerprint(a, tol: float = DEFAULT_TOL) -> list[tuple[complex, tuple
         lam = complex(np.mean(w[idx]))
         shifted = tk[:k, :k] - lam * np.eye(k)
         s = singular_values(shifted)
-        weyr = [int(np.count_nonzero(s <= tol * scale))]
+        weyr = [int(np.count_nonzero(s <= DEFAULT_TOL * scale))]
         power = shifted
         while weyr[-1] < k:
             power = power @ shifted / s[0]
-            nullity = int(np.count_nonzero(singular_values(power) <= tol * scale))
+            nullity = int(np.count_nonzero(singular_values(power) <= DEFAULT_TOL * scale))
             if nullity <= weyr[-1]:
                 break
             weyr.append(nullity)
+        weyr_to_block_sizes(tuple(weyr))  # raises unless weyr is a Weyr characteristic
         out.append((lam, tuple(weyr)))
     out.sort(key=lambda c: (c[0].real, c[0].imag))
     return out
@@ -285,11 +287,14 @@ def weyr_to_block_sizes(weyr: tuple[int, ...]) -> dict[int, int]:
     """Convert a Weyr characteristic into ``{block size: count}``.
 
     Raises:
-        ConvergenceError: if the nullity steps grow, so ``weyr`` is no Weyr
-            characteristic (a cluster that merged separate eigenvalues).
+        ConvergenceError: if the first nullity is 0 or the nullity steps
+            grow, so ``weyr`` is no Weyr characteristic (a cluster whose
+            eigenvalues are split, or one that merged separate eigenvalues).
     """
     nu = [0, *weyr]
     diffs = [nu[k] - nu[k - 1] for k in range(1, len(nu))]
+    if weyr and weyr[0] <= 0:
+        raise ConvergenceError(f"first nullity of {weyr} is 0: Jordan structure not resolved")
     if any(later > earlier for earlier, later in zip(diffs, diffs[1:])):
         raise ConvergenceError(f"nullity steps of {weyr} grow: Jordan structure not resolved")
     diffs.append(0)

@@ -30,6 +30,9 @@ from .errors import NotTriangularError
 from .matrix import BqMatrix
 from .scalar import Biquaternion, principal_sqrt
 
+# Largest relative error at which scaling_exponent_probe accepts an exponent.
+_EXPONENT_TOL = 1e-6
+
 
 def central_det(a: BqMatrix) -> complex:
     """Determinant of the block representation; nonzero iff A is invertible."""
@@ -79,17 +82,17 @@ def cayley_hamilton_residual(a: BqMatrix) -> float:
     return acc.norm()
 
 
-def triangular_central_det(a: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> complex:
+def triangular_central_det(a: BqMatrix) -> complex:
     """Central determinant of a triangular matrix: the product of the weak
     norms of its diagonal entries.
 
     Raises:
         NotTriangularError: if the matrix is neither upper nor lower
-            triangular within ``tol`` times its norm.
+            triangular within ``clinalg.DEFAULT_TOL`` times its norm.
     """
     n = a._require_square()
     c = a.components
-    scale = tol * a.norm()
+    scale = clinalg.DEFAULT_TOL * a.norm()
     is_upper = bool(np.all(np.abs(np.tril(c, -1)) <= scale))
     is_lower = bool(np.all(np.abs(np.triu(c, 1)) <= scale))
     if not (is_upper or is_lower):
@@ -100,9 +103,7 @@ def triangular_central_det(a: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> com
     return out
 
 
-def scaling_exponent_probe(
-    a: BqMatrix, mu: Biquaternion, tol: float = 1e-6
-) -> int:
+def scaling_exponent_probe(a: BqMatrix, mu: Biquaternion) -> int:
     """Measure k in ``central_det(mu * A) == weak_norm(mu)**k * central_det(A)``.
 
     Tries the two candidate exponents n and 2n and returns the better match
@@ -111,7 +112,8 @@ def scaling_exponent_probe(
     measured one, not a claimed one.
 
     Raises:
-        ValueError: for degenerate probes (singular A or zero-divisor mu).
+        ValueError: for degenerate probes (singular A or zero-divisor mu),
+            or when neither exponent matches within a relative error of 1e-6.
     """
     n = a._require_square()
     det_a = central_det(a)
@@ -125,7 +127,7 @@ def scaling_exponent_probe(
         err = abs(ratio - target) / max(abs(target), 1e-300)
         if err < best_err - 1e-15:
             best_k, best_err = k, err
-    if best_err > tol:
+    if best_err > _EXPONENT_TOL:
         raise ValueError(
             f"measured ratio {ratio!r} matches neither candidate exponent "
             f"(best relative error {best_err:.3e})"

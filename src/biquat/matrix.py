@@ -180,9 +180,6 @@ class BqMatrix:
     def col(self, j: int) -> "BqMatrix":
         return BqMatrix(self._c[:, :, j : j + 1])
 
-    def entries(self) -> list[list[Biquaternion]]:
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BqMatrix):
             return NotImplemented
@@ -305,7 +302,7 @@ class BqMatrix:
 
     # -- lowered computations ----------------------------------------------------------
 
-    def inverse(self, tol: float = clinalg.DEFAULT_TOL) -> "BqMatrix":
+    def inverse(self) -> "BqMatrix":
         """Two-sided inverse, lifted from the block representation.
 
         Raises:
@@ -315,30 +312,30 @@ class BqMatrix:
         """
         n = self._require_square()
         rep = self.block_repr()
-        if clinalg.rank(rep, tol) < 2 * n:
+        if clinalg.rank(rep) < 2 * n:
             raise NotInvertibleError("matrix is singular over the biquaternions")
         try:
             return BqMatrix.from_block_repr(np.linalg.inv(rep))
         except ValueError as exc:  # raised here only for non-finite values
             raise OverflowError("the inverse exceeds the float range") from exc
 
-    def pinv(self, tol: float = clinalg.DEFAULT_TOL) -> "BqMatrix":
+    def pinv(self) -> "BqMatrix":
         """Moore-Penrose inverse: unique solution of the four Penrose
         equations over the algebra; its block representation equals the
         complex pseudoinverse of this matrix's block representation."""
-        return BqMatrix.from_block_repr(clinalg.pinv(self.block_repr(), tol))
+        return BqMatrix.from_block_repr(clinalg.pinv(self.block_repr()))
 
-    def rank(self, tol: float = clinalg.DEFAULT_TOL) -> HalfRank:
+    def rank(self) -> HalfRank:
         """Half of the block representation's numerical rank, kept exact."""
-        return HalfRank(clinalg.rank(self.block_repr(), tol))
+        return HalfRank(clinalg.rank(self.block_repr()))
 
-    def is_hermitian(self, tol: float = clinalg.DEFAULT_TOL) -> bool:
+    def is_hermitian(self) -> bool:
         self._require_square()
-        return self.allclose(self.hconj(), tol)
+        return self.allclose(self.hconj())
 
-    def is_unitary(self, tol: float = clinalg.DEFAULT_TOL) -> bool:
+    def is_unitary(self) -> bool:
         ident, h = BqMatrix.identity(self._require_square()), self.hconj()
-        return (self @ h).allclose(ident, tol) and (h @ self).allclose(ident, tol)
+        return (self @ h).allclose(ident) and (h @ self).allclose(ident)
 
     def _require_square(self) -> int:
         if self.rows != self.cols:

@@ -135,12 +135,12 @@ class Biquaternion:
         comps, unit = self._scaled()
         return math.sqrt(sum(abs(c) ** 2 for c in comps)) / unit
 
-    def is_complex(self, tol: float = clinalg.DEFAULT_TOL) -> bool:
-        """True when ``|e-part| <= tol * |a|``: the image minus ``a0*I`` is
-        negligible, the full-kernel rule of :func:`clinalg.jordan_fingerprint`."""
+    def is_complex(self) -> bool:
+        """True when ``|e-part| <= DEFAULT_TOL * |a|``: the image minus ``a0*I``
+        is negligible, the full-kernel rule of :func:`clinalg.jordan_fingerprint`."""
         (a0, a1, a2, a3), _ = self._scaled()
         vec = abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2
-        return vec <= tol**2 * (abs(a0) ** 2 + vec)
+        return vec <= clinalg.DEFAULT_TOL**2 * (abs(a0) ** 2 + vec)
 
     def __bool__(self) -> bool:
         return any(c != 0 for c in self.components)
@@ -211,7 +211,7 @@ class Biquaternion:
         """
         return sum(c * c for c in self.components)
 
-    def inverse(self, tol: float = clinalg.DEFAULT_TOL) -> "Biquaternion":
+    def inverse(self) -> "Biquaternion":
         """Two-sided inverse ``dual(a) / weak_norm(a)``, taken on ``a`` scaled
         exactly by a power of two, so the weak norm cannot overflow or underflow.
 
@@ -220,7 +220,7 @@ class Biquaternion:
                 (a zero divisor), exactly as the 1x1 :meth:`BqMatrix.inverse`.
             OverflowError: if the inverse lies beyond the float range.
         """
-        if clinalg.rank(self.as_complex_matrix(), tol) < 2:
+        if clinalg.rank(self.as_complex_matrix()) < 2:
             raise NotInvertibleError("the image has rank below 2; element is not invertible")
         comps, unit = self._scaled()
         b = Biquaternion(*comps)
@@ -245,25 +245,21 @@ class Biquaternion:
             raise DimensionError(f"expected a 2x2 matrix, got {m.shape}")
         return cls(*preimage(m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
 
-    def pinv(self, tol: float = clinalg.DEFAULT_TOL) -> "Biquaternion":
+    def pinv(self) -> "Biquaternion":
         """Moore-Penrose inverse: the unique solution of the four Penrose
         equations; coincides with :meth:`inverse` on invertible elements and
         maps zero divisors to zero divisors (and 0 to 0)."""
-        return Biquaternion.from_complex_matrix(
-            clinalg.pinv(self.as_complex_matrix(), tol)
-        )
+        return Biquaternion.from_complex_matrix(clinalg.pinv(self.as_complex_matrix()))
 
     # -- similarity ------------------------------------------------------------
 
-    def canonical_form(
-        self, tol: float = clinalg.DEFAULT_TOL
-    ) -> tuple["Biquaternion", CanonicalCase]:
+    def canonical_form(self) -> tuple["Biquaternion", CanonicalCase]:
         """Similarity canonical form of the element.
 
         Central elements are their own form; otherwise ``a0 + tau*e1``, or
-        ``a0 - e2/2 + i*e3/2`` when the e-part is isotropic.  ``tol`` decides
-        only the central case (:meth:`is_complex`).  The null case always
-        uses the cluster rule with ``clinalg.CLUSTER_TOL``: the image's
+        ``a0 - e2/2 + i*e3/2`` when the e-part is isotropic.  The rank rule
+        ``clinalg.DEFAULT_TOL`` decides the central case (:meth:`is_complex`),
+        the cluster rule ``clinalg.CLUSTER_TOL`` the null case: the image's
         eigenvalues ``a0 +/- i*tau`` merge, ``|2*tau| <= CLUSTER_TOL*sqrt(2)*|a|``.
         Every decision is taken on the element scaled by a power of two, so it
         holds at any magnitude.
@@ -271,7 +267,7 @@ class Biquaternion:
         Raises:
             OverflowError: if ``tau`` lies beyond the float range.
         """
-        if self.is_complex(tol):
+        if self.is_complex():
             return self, CanonicalCase.COMPLEX
         comps, unit = self._scaled()
         _, a1, a2, a3 = comps
@@ -287,7 +283,7 @@ class Biquaternion:
             raise OverflowError("tau of the canonical form exceeds the float range")
         return Biquaternion(self.a0, tau, 0, 0), CanonicalCase.GENERIC
 
-    def similarity_witness(self, tol: float = clinalg.DEFAULT_TOL) -> "Biquaternion":
+    def similarity_witness(self) -> "Biquaternion":
         """Invertible ``p`` with ``p.inverse() * a * p`` equal to the canonical form.
 
         Constructed by diagonalizing (generic case) or Jordan-reducing (null
@@ -298,11 +294,11 @@ class Biquaternion:
             DegenerateWitnessError: if the witness's image is numerically
                 rank deficient.  In the null case the form is fixed, so the
                 witness's condition number grows as ``max(|N|, 1/|N|)``,
-                ``N = image - a0*I``: this raises once ``|N|`` passes ``1/tol``
-                or ``tol``.  A smaller ``tol`` reaches further, with fewer
-                correct digits in the witness's short column.
+                ``N = image - a0*I``: the rank rule ``clinalg.DEFAULT_TOL``
+                makes this raise once ``|N|`` passes ``1/DEFAULT_TOL`` or
+                ``DEFAULT_TOL`` (``1e10`` or ``1e-10``).
         """
-        form, case = self.canonical_form(tol)
+        form, case = self.canonical_form()
         if case is CanonicalCase.COMPLEX or self == form:
             return Biquaternion(1)
         m = self.as_complex_matrix()
@@ -310,7 +306,7 @@ class Biquaternion:
             s = self._null_reduction(m)
         else:
             s = self._generic_reduction(m, form)
-        if clinalg.rank(s, tol) < 2:
+        if clinalg.rank(s) < 2:
             raise DegenerateWitnessError("the constructed witness is a zero divisor")
         return Biquaternion.from_complex_matrix(s)
 
@@ -337,13 +333,14 @@ class Biquaternion:
         w = np.eye(2)[:, int(np.linalg.norm(nil[:, 1]) > np.linalg.norm(nil[:, 0]))]
         return np.column_stack([nil @ w, w])
 
-    def classify(self, tol: float = clinalg.DEFAULT_TOL) -> ScalarFlags:
+    def classify(self) -> ScalarFlags:
         """Structural flags: real (``a.cconj() == a``), pure imaginary
         (``a.cconj() == -a``), scalar (``a.dual() == a``), Hermitian
-        (``a.hconj() == a``), each componentwise within ``tol * |a|``,
-        decided on the element scaled by a power of two (no overflow)."""
+        (``a.hconj() == a``), each componentwise within
+        ``clinalg.DEFAULT_TOL * |a|``, decided on the element scaled by a
+        power of two (no overflow)."""
         b = Biquaternion(*self._scaled()[0])
-        scale = tol * b.norm()
+        scale = clinalg.DEFAULT_TOL * b.norm()
 
         def close(x: "Biquaternion", y: "Biquaternion") -> bool:
             return all(abs(cx - cy) <= scale for cx, cy in zip(x.components, y.components))

@@ -31,6 +31,10 @@ from .errors import DimensionError, InvalidPairError
 from .matrix import BqMatrix, _block_norm
 from .scalar import Biquaternion, CanonicalCase, image
 
+# Largest eigenpair residual, relative to |A|, that
+# derived_complex_eigenvalues accepts.
+_PAIR_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -113,11 +117,7 @@ def regular_right_eigenpair(a: BqMatrix) -> RegularEigenPair:
     return RegularEigenPair(value, x, _pair_residual(a, x, value))
 
 
-def derived_complex_eigenvalues(
-    a: BqMatrix,
-    pair: RegularEigenPair,
-    tol: float = 1e-8,
-) -> list[complex]:
+def derived_complex_eigenvalues(a: BqMatrix, pair: RegularEigenPair) -> list[complex]:
     """Complex eigenvalues of the block representation derived from a
     regular right eigenpair.
 
@@ -127,10 +127,10 @@ def derived_complex_eigenvalues(
     one contributes ``a0`` once.
 
     Raises:
-        InvalidPairError: if the pair's residual exceeds ``tol * |A|``.
+        InvalidPairError: if the pair's residual exceeds ``1e-8 * |A|``.
     """
     residual = _pair_residual(a, pair.vector, pair.value)
-    if residual > tol * max(a.norm(), 1e-300):
+    if residual > _PAIR_TOL * max(a.norm(), 1e-300):
         raise InvalidPairError(
             f"eigenpair residual {residual:.3e} exceeds tolerance"
         )
@@ -144,7 +144,7 @@ def derived_complex_eigenvalues(
     p = lam.similarity_witness()
     xp = pair.vector * p
     rotated = (a @ xp - xp * form).norm()
-    if rotated > 1e3 * tol * max(a.norm(), 1.0) * (1.0 + p.norm() ** 2):
+    if rotated > 1e3 * _PAIR_TOL * max(a.norm(), 1.0) * (1.0 + p.norm() ** 2):
         raise InvalidPairError(
             f"witness-rotated residual {rotated:.3e} is inconsistent"
         )
@@ -154,17 +154,21 @@ def derived_complex_eigenvalues(
     return [lam.a0]
 
 
-def similar(a: BqMatrix, b: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> bool:
+def similar(a: BqMatrix, b: BqMatrix) -> bool:
     """Similarity over the biquaternion algebra.
 
     Equivalent to similarity of the block representations over the complex
     numbers, decided by comparing Jordan fingerprints under tolerance
     pairing of eigenvalue clusters.
+
+    Raises:
+        ConvergenceError: if a cluster's nullities are no Weyr
+            characteristic (see :func:`clinalg.jordan_fingerprint`).
     """
-    return _similar(a, b, tol)[0]
+    return _similar(a, b)[0]
 
 
-def diagonalizable(a: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> bool:
+def diagonalizable(a: BqMatrix) -> bool:
     """True when the matrix is similar to a diagonal matrix over the algebra.
 
     Holds exactly when no Jordan block of the block representation exceeds
@@ -172,13 +176,15 @@ def diagonalizable(a: BqMatrix, tol: float = clinalg.DEFAULT_TOL) -> bool:
     i.e. the second generalized nullity of every eigenvalue already equals
     its algebraic multiplicity.  The interleaved representation is
     permutation-similar to the block one, so it has the same blocks.
+
+    Raises:
+        ConvergenceError: if a cluster's nullities are no Weyr
+            characteristic (see :func:`clinalg.jordan_fingerprint`).
     """
-    return _diagonalizable(a, tol)[0]
+    return _diagonalizable(a)[0]
 
 
-def similar_to_complex(
-    a: BqMatrix, tol: float = clinalg.DEFAULT_TOL
-) -> tuple[bool, np.ndarray | None]:
+def similar_to_complex(a: BqMatrix) -> tuple[bool, np.ndarray | None]:
     """Whether the matrix is similar (over the algebra) to a complex matrix.
 
     Holds exactly when the block representation's Jordan structure is
@@ -188,30 +194,30 @@ def similar_to_complex(
 
     Raises:
         ConvergenceError: if a cluster's nullities are no Weyr
-            characteristic (see :func:`clinalg.weyr_to_block_sizes`).
+            characteristic (see :func:`clinalg.jordan_fingerprint`).
     """
-    return _similar_to_complex(a, tol)[:2]
+    return _similar_to_complex(a)[:2]
 
 
 # Each verdict below also returns the fingerprints it was decided from, so
 # the CLI prints the very structure behind the verdict without recomputing it.
 
 
-def _similar(a: BqMatrix, b: BqMatrix, tol: float):
+def _similar(a: BqMatrix, b: BqMatrix):
     a._require_square()
     b._require_square()
     if a.shape != b.shape:
         raise DimensionError(f"size mismatch: {a.shape} vs {b.shape}")
     ra, rb = a.block_repr(), b.block_repr()
-    fa = clinalg.jordan_fingerprint(ra, tol)
-    fb = clinalg.jordan_fingerprint(rb, tol)
+    fa = clinalg.jordan_fingerprint(ra)
+    fb = clinalg.jordan_fingerprint(rb)
     scale = max(clinalg.matrix_scale(ra), clinalg.matrix_scale(rb), 1e-300)
     return clinalg.fingerprints_match(fa, fb, clinalg.CLUSTER_TOL * scale), fa, fb
 
 
-def _diagonalizable(a: BqMatrix, tol: float):
+def _diagonalizable(a: BqMatrix):
     a._require_square()
-    fp = clinalg.jordan_fingerprint(a.block_repr(), tol)
+    fp = clinalg.jordan_fingerprint(a.block_repr())
     for _, weyr in fp:
         mult = weyr[-1]
         nu2 = weyr[1] if len(weyr) > 1 else weyr[0]
@@ -220,9 +226,9 @@ def _diagonalizable(a: BqMatrix, tol: float):
     return True, fp
 
 
-def _similar_to_complex(a: BqMatrix, tol: float):
+def _similar_to_complex(a: BqMatrix):
     n = a._require_square()
-    fp = clinalg.jordan_fingerprint(a.block_repr(), tol)
+    fp = clinalg.jordan_fingerprint(a.block_repr())
     blocks: list[tuple[complex, int]] = []
     for lam, weyr in fp:
         for size, count in clinalg.weyr_to_block_sizes(weyr).items():

@@ -39,6 +39,33 @@ def merged_cluster_matrix() -> BqMatrix:
     return BqMatrix.from_complex(d @ j @ np.linalg.inv(d) * 1e21)
 
 
+def split_cluster_matrix() -> BqMatrix:
+    """U from_complex(J3(l1) + J1(l1) + J3(l2) + J1(l2)) U^-1 at n = 8.
+
+    ``l1, l2`` are distinct Gaussian integers and ``U = (I + N1)(I + N2)``,
+    each ``N`` with Gaussian-integer components and ``N @ N == 0``, so
+    ``U^-1 = (I - N2)(I - N1)`` exactly.  ``eig`` scatters the eightfold
+    eigenvalue near ``1 + 1j`` by about 1e-5 of the scale, past
+    ``CLUSTER_TOL``: three of its clusters have first nullity 0, which no
+    Weyr characteristic has.
+    """
+    rng = np.random.default_rng(17)
+    grid = [complex(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
+    l1, l2 = np.array(grid)[rng.choice(len(grid), size=2, replace=False)]
+    j = np.diag([l1] * 4 + [l2] * 4)
+    j[0, 1] = j[1, 2] = j[4, 5] = j[5, 6] = 1
+    u = u_inv = BqMatrix.identity(8)
+    for _ in range(2):
+        perm = rng.permutation(8)
+        lo, hi = perm[:4], perm[4:]
+        nil = np.zeros((4, 8, 8), dtype=complex)
+        re, im = rng.integers(-1, 2, (2, 4, 4))
+        nil[:, hi, rng.choice(lo, size=4)] = re + 1j * im
+        u = u @ (BqMatrix.identity(8) + BqMatrix(nil))
+        u_inv = (BqMatrix.identity(8) - BqMatrix(nil)) @ u_inv
+    return u @ BqMatrix.from_complex(j) @ u_inv
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

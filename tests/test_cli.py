@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import biquat
-from biquat import E1, E2, Biquaternion, BqMatrix, cli, clinalg, io, sampling
+from biquat import E1, E2, Biquaternion, BqMatrix, clinalg, io, sampling
 from biquat.cli import main
-from conftest import merged_cluster_matrix
+from conftest import merged_cluster_matrix, split_cluster_matrix
 
 
 @pytest.fixture
@@ -142,23 +142,18 @@ class TestSimilarityVerbs:
     @pytest.mark.parametrize("verb, documents", [("similar", 2), ("diagonalizable", 1), ("similar-to-complex", 1)])
     def test_one_fingerprint_per_matrix(self, capsys, write_doc, monkeypatch, verb, documents):
         # the verdict and the printed fingerprints come from one computation
-        fingerprints, reads = [], []
-        fingerprint, tolerance = clinalg.jordan_fingerprint, cli._tolerance
+        fingerprints = []
+        fingerprint = clinalg.jordan_fingerprint
 
         def counted_fingerprint(*args, **kwargs):
             fingerprints.append(args)
             return fingerprint(*args, **kwargs)
 
-        def counted_tolerance():
-            reads.append(None)
-            return tolerance()
-
         monkeypatch.setattr(clinalg, "jordan_fingerprint", counted_fingerprint)
-        monkeypatch.setattr(cli, "_tolerance", counted_tolerance)
         paths = [write_doc(BqMatrix.diag([E1, -E1])) for _ in range(documents)]
         code, out, _ = run_cli(capsys, verb, *paths)
         assert code == 0 and "fingerprint" in out
-        assert len(fingerprints) == documents and len(reads) == 1
+        assert len(fingerprints) == documents
 
 
 class TestExitCodes:
@@ -238,6 +233,13 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error: numerical: similar-to-complex:")
 
+    @pytest.mark.parametrize("verb, documents", [("similar", 2), ("diagonalizable", 1)])
+    def test_split_cluster_is_numerical(self, capsys, write_doc, verb, documents):
+        paths = [write_doc(split_cluster_matrix()) for _ in range(documents)]
+        code, out, err = run_cli(capsys, verb, *paths)
+        assert code == 3 and not out
+        assert err.startswith(f"error: numerical: {verb}: first nullity")
+
 
 class TestStartup:
     def test_import_leaves_out_scipy_optimize(self):
@@ -260,20 +262,6 @@ class TestStartup:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "False"
-
-
-class TestToleranceOverride:
-    def test_env_var(self, capsys, write_doc, monkeypatch):
-        # with a huge tolerance every singular value is cut: rank drops to 0
-        a = single(Biquaternion(1, 1j))
-        path = write_doc(a)
-        monkeypatch.setenv("BIQUAT_TOL", "10.0")
-        code, out, _ = run_cli(capsys, "rank", path)
-        assert code == 0
-        assert out.strip() == "0"
-        monkeypatch.setenv("BIQUAT_TOL", "-1")
-        code, _, err = run_cli(capsys, "rank", path)
-        assert code == 1
 
 
 class TestVerifyCommand:

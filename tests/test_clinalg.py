@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from biquat import clinalg
 from biquat.errors import ConvergenceError, DimensionError
+from conftest import merged_cluster_matrix, split_cluster_matrix
 
 I2 = np.eye(2)
 PAULI1 = np.array([[1j, 0], [0, -1j]])
@@ -113,10 +115,6 @@ class TestRank:
 
     def test_deficient(self):
         assert clinalg.rank(np.array([[0, 0], [0, 2]])) == 1
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            clinalg.rank(I2, tol=0)
 
 
 class TestPinv:
@@ -318,6 +316,18 @@ class TestJordanFingerprint:
         assert three[1] == (2, 3) and five[1] == (1,)
         assert abs(three[0] - 3) <= 1e-14 and abs(five[0] - 5) <= 1e-14
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [(split_cluster_matrix, "first nullity of \\(0,\\) is 0"), (merged_cluster_matrix, "steps of \\(2, 6, 8\\) grow")],
+        ids=["split", "merged"],
+    )
+    def test_unresolved_cluster_is_a_numerical_error(self, matrix, message):
+        # nullities that are no Weyr characteristic: an eigenvalue split
+        # past CLUSTER_TOL leaves clusters of first nullity 0, and separate
+        # eigenvalues merged into one cluster give growing steps
+        with pytest.raises(ConvergenceError, match=message):
+            clinalg.jordan_fingerprint(matrix().block_repr())
+
 
 def union_find_clusters(w, gap):
     """Brute-force single linkage: every pair within ``gap`` is joined, the
@@ -386,9 +396,45 @@ class TestWeyrBlocks:
         with pytest.raises(ConvergenceError):
             clinalg.weyr_to_block_sizes(weyr)
 
+    @pytest.mark.parametrize("weyr", [(0,), (0, 1)])
+    def test_zero_first_nullity_is_rejected(self, weyr):
+        # every eigenvalue has an eigenvector
+        with pytest.raises(ConvergenceError):
+            clinalg.weyr_to_block_sizes(weyr)
+
 
 def test_as_cmatrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         clinalg.as_cmatrix([[np.inf, 0], [0, 1]])
     with pytest.raises(DimensionError):
         clinalg.as_cmatrix([1, 2, 3])
+
+
+def test_one_tolerance_policy():
+    # DEFAULT_TOL and CLUSTER_TOL are the only thresholds: no public callable
+    # takes a tolerance, except allclose, whose tolerance is part of its question
+    import biquat
+
+    callables = {}
+    for name in biquat.__all__:
+        obj = getattr(biquat, name)
+        if inspect.ismodule(obj):
+            for attr, fn in vars(obj).items():
+                if inspect.isfunction(fn) and fn.__module__ == obj.__name__ and not attr.startswith("_"):
+                    callables[f"{name}.{attr}"] = fn
+        elif callable(obj):
+            callables[name] = obj
+    for cls in (biquat.Biquaternion, biquat.BqMatrix):
+        for attr in vars(cls):
+            if not attr.startswith("_") and callable(getattr(cls, attr)):
+                callables[f"{cls.__name__}.{attr}"] = getattr(cls, attr)
+    assert "clinalg.rank" in callables and "Biquaternion.canonical_form" in callables
+    with_tol = []
+    for name, fn in callables.items():
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):  # no introspectable signature
+            continue
+        if "tol" in params:
+            with_tol.append(name)
+    assert with_tol == ["BqMatrix.allclose"]

@@ -25,7 +25,7 @@ from biquat import (
     spectral,
 )
 from biquat.spectral import RegularEigenPair
-from conftest import bq_close, mat_close, merged_cluster_matrix
+from conftest import bq_close, mat_close, merged_cluster_matrix, split_cluster_matrix
 
 NULL_SCALAR = Biquaternion(0, 0, -0.5, 0.5j)  # block image [[0,1],[0,0]]
 
@@ -345,6 +345,17 @@ class TestSimilarToComplex:
         # cluster's nullity steps grow, (2, 6, 8), which is no Weyr characteristic
         with pytest.raises(ConvergenceError):
             similar_to_complex(merged_cluster_matrix())
+
+    @pytest.mark.parametrize("matrix", [split_cluster_matrix, merged_cluster_matrix])
+    @pytest.mark.parametrize(
+        "verdict",
+        [lambda x: similar(x, x), diagonalizable, similar_to_complex],
+        ids=["similar", "diagonalizable", "similar_to_complex"],
+    )
+    def test_every_verdict_refuses_an_unresolved_cluster(self, matrix, verdict):
+        # no verdict reads nullities that are no Weyr characteristic
+        with pytest.raises(ConvergenceError):
+            verdict(matrix())
 
     def test_jordan_witness_structure(self):
         # doubled nilpotent 2-block: J should be one 2-block
