@@ -164,13 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, matrix_arg=True):
+    def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        if matrix_arg:
-            p.add_argument(
-                "matrix", nargs="?", default="-",
-                help="matrix document file, or - for stdin (default)",
-            )
+        p.add_argument(
+            "matrix", nargs="?", default="-",
+            help="matrix document file, or - for stdin (default)",
+        )
         p.set_defaults(func=func)
         return p
 

@@ -45,6 +45,13 @@ def _require_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
+def within_range(x, what: str):
+    """``x`` if all of it is finite; OverflowError naming ``what`` if not."""
+    if not np.all(np.isfinite(x)):
+        raise OverflowError(f"{what} exceeds the float range")
+    return x
+
+
 def det(a) -> complex:
     """Determinant of a square complex matrix.
 
@@ -71,9 +78,7 @@ def det(a) -> complex:
             )
         else:
             d = complex(np.linalg.det(m))
-    if not np.isfinite(d):
-        raise OverflowError("the determinant exceeds the float range")
-    return d
+    return within_range(d, "the determinant")
 
 
 def singular_values(a) -> np.ndarray:
@@ -100,9 +105,7 @@ def pinv(a) -> np.ndarray:
     m = as_cmatrix(a)
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.linalg.pinv(m, rcond=DEFAULT_TOL)
-    if not np.all(np.isfinite(p)):
-        raise OverflowError("the pseudoinverse exceeds the float range")
-    return p
+    return within_range(p, "the pseudoinverse")
 
 
 def eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -138,25 +141,39 @@ def charpoly(a) -> Polynomial:
     Coefficients are returned in ascending degree order.  For matrices with
     (complex-)integer entries the recursion stays exact in double precision
     as long as intermediates fit in 53 bits.
+
+    Raises:
+        OverflowError: if a coefficient lies beyond the float range.
     """
     m = as_cmatrix(a)
     n = _require_square(m)
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[n] = 1.0
-    mk = np.zeros_like(m)
-    ck = 1.0 + 0j
-    for k in range(1, n + 1):
-        mk = m @ mk + ck * np.eye(n)
-        ck = -np.trace(m @ mk) / k
-        coeffs[n - k] = ck
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("characteristic polynomial coefficients overflowed")
-    return Polynomial(coeffs)
+    p = np.zeros_like(m)
+    c = 1.0 + 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            p = m @ (p + c * np.eye(n))
+            c = -np.trace(p) / k
+            coeffs[n - k] = c
+    return Polynomial(within_range(coeffs, "the characteristic polynomial"))
+
+
+def squaring_unit(top):
+    """Exact powers of two that bring each largest magnitude ``top`` into
+    [0.5, 1), capped so they stay finite: after scaling no square overflows."""
+    return np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1022))
 
 
 def matrix_scale(a) -> float:
-    """Frobenius norm, the scale used for relative tolerances throughout."""
-    return float(np.linalg.norm(as_cmatrix(a)))
+    """Frobenius norm, the scale of relative tolerances, rescaled where squares overflow or underflow."""
+    m = as_cmatrix(a)
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(m))
+    if 2.0**-480 < scale < np.inf:
+        return scale
+    unit = float(squaring_unit(np.abs(m).max(initial=0.0)))
+    return float(np.linalg.norm(m * unit)) / unit
 
 
 def cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -217,14 +234,14 @@ def jordan_fingerprint(a) -> list[tuple[complex, tuple[int, ...]]]:
     reordered to put as many Schur eigenvalues first as the cluster has, the
     nearest ones, so no other eigenvalue enters its nullities: with ``b`` the
     block minus ``lam*I`` and ``s`` its largest singular value, the k-th
-    nullity counts the singular values of ``b**k / s**(k-1)`` (no overflow)
-    at most ``DEFAULT_TOL`` times the scale, until it reaches the block's
-    size or stops growing.  No eigenvector, Schur vector or singular vector
-    is formed.
+    nullity counts the singular values of ``b**k / s**(k-1)`` at most
+    ``DEFAULT_TOL`` times the scale, until it reaches the block's size or
+    stops growing.  No eigenvector, Schur vector or singular vector is formed.
 
     Raises:
         ConvergenceError: if a cluster's nullities are no Weyr characteristic
             (see :func:`weyr_to_block_sizes`): the cluster is unresolved.
+        OverflowError: if ``b**(k-1) / s**(k-2) @ b`` leaves the float range.
     """
     m = as_cmatrix(a)
     if _require_square(m) == 0:
@@ -248,7 +265,8 @@ def jordan_fingerprint(a) -> list[tuple[complex, tuple[int, ...]]]:
         weyr = [int(np.count_nonzero(s <= DEFAULT_TOL * scale))]
         power = shifted
         while weyr[-1] < k:
-            power = power @ shifted / s[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                power = within_range(power @ shifted / s[0], "a power of a cluster block")
             nullity = int(np.count_nonzero(singular_values(power) <= DEFAULT_TOL * scale))
             if nullity <= weyr[-1]:
                 break

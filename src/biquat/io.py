@@ -17,7 +17,6 @@ representable in double precision survives a save/load cycle bit-exactly.
 from __future__ import annotations
 
 import json
-from typing import IO
 
 import numpy as np
 
@@ -91,8 +90,6 @@ def loads(text: str) -> BqMatrix:
     return from_document(doc)
 
 
-def load_matrix(fp: IO[str] | str) -> BqMatrix:
-    if isinstance(fp, str):
-        with open(fp) as handle:
-            return loads(handle.read())
-    return loads(fp.read())
+def load_matrix(path: str) -> BqMatrix:
+    with open(path) as handle:
+        return loads(handle.read())

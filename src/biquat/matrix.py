@@ -314,10 +314,7 @@ class BqMatrix:
         rep = self.block_repr()
         if clinalg.rank(rep) < 2 * n:
             raise NotInvertibleError("matrix is singular over the biquaternions")
-        try:
-            return BqMatrix.from_block_repr(np.linalg.inv(rep))
-        except ValueError as exc:  # raised here only for non-finite values
-            raise OverflowError("the inverse exceeds the float range") from exc
+        return BqMatrix.from_block_repr(clinalg.within_range(np.linalg.inv(rep), "the inverse"))
 
     def pinv(self) -> "BqMatrix":
         """Moore-Penrose inverse: unique solution of the four Penrose
@@ -350,9 +347,15 @@ def _as_bq(value) -> Biquaternion:
 
 
 def _block_norm(c: np.ndarray, axis=None) -> np.ndarray:
-    """Frobenius norm of the block representation of components ``c``, summed
-    over ``axis`` (all of it by default), from ``2 * sum_k |c_k|**2``."""
-    return np.sqrt(2 * np.sum(np.abs(c) ** 2, axis=axis))
+    """Frobenius norm of the block representation of components ``c``, summed over ``axis``
+    (all of it by default), from ``2 * sum_k |c_k|**2``, rescaled as :func:`clinalg.matrix_scale`."""
+    with np.errstate(over="ignore"):
+        out = np.sqrt(2 * np.sum(np.abs(c) ** 2, axis=axis))
+    if 2.0**-480 < out.min(initial=np.inf) and out.max(initial=0.0) < np.inf:
+        return out
+    unit = clinalg.squaring_unit(np.abs(c).max(axis=axis, keepdims=True, initial=0.0))
+    squares = np.sum(np.abs(c * unit) ** 2, axis=axis, keepdims=True)
+    return np.squeeze(np.sqrt(2 * squares) / unit, axis=axis)
 
 
 def shuffle_permutations(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:

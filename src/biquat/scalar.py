@@ -319,11 +319,7 @@ class Biquaternion:
             v1 = np.array([m[0, 1], mu - m[0, 0]])
             v2 = np.array([mu - m[1, 1], m[1, 0]])
             v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-            nv = np.linalg.norm(v)
-            if nv == 0.0:  # m already diagonal: basis vector in matching slot
-                v = np.array([1.0, 0.0]) if abs(m[0, 0] - mu) <= abs(m[1, 1] - mu) else np.array([0.0, 1.0])
-                nv = 1.0
-            cols.append(v / nv)
+            cols.append(v / np.linalg.norm(v))
         return np.column_stack(cols)
 
     def _null_reduction(self, m: np.ndarray) -> np.ndarray:

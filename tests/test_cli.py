@@ -228,6 +228,22 @@ class TestExitCodes:
         assert err.startswith("error: numerical: det:")
         assert not caught  # no numpy RuntimeWarning either
 
+    @pytest.mark.parametrize(
+        "verb, matrix",
+        [
+            ("charpoly", single(Biquaternion(1e200))),
+            ("diagonalizable", BqMatrix.from_complex(np.eye(3) + np.diag([1.0, 1.0], 1)) * 1e160),
+        ],
+    )
+    def test_intermediate_overflow_is_numerical(self, capsys, write_doc, verb, matrix):
+        path = write_doc(matrix)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, verb, path)
+        assert code == 3
+        assert err.startswith(f"error: numerical: {verb}:") and len(err.splitlines()) == 1
+        assert not caught  # no numpy RuntimeWarning either
+
     def test_unresolved_jordan_structure_is_numerical(self, capsys, write_doc):
         code, _, err = run_cli(capsys, "similar-to-complex", write_doc(merged_cluster_matrix()))
         assert code == 3

@@ -189,6 +189,18 @@ class TestCharpoly:
             for lam in clinalg.eigvals(a):
                 assert abs(p(lam)) <= 1e-8 * scale
 
+    def test_beyond_float_range_raises_without_warnings(self):
+        # the constant coefficient is 1e400, the block of the 1x1 matrix [[1e200]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                clinalg.charpoly(1e200 * np.eye(2))
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_matrix_scale_is_scale_free(c):
+    assert clinalg.matrix_scale(np.diag([1.0, 2.0]) * c) / c == pytest.approx(np.sqrt(5), rel=1e-15)
+
 
 class TestJordanFingerprint:
     def test_identity(self):

@@ -114,6 +114,12 @@ class TestArithmetic:
             sampling.integer_matrix(rng, 2, 3) + sampling.integer_matrix(rng, 3, 2)
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_norm_is_scale_free(c):
+    a = embed(np.diag([1.0, 2.0])) * c
+    assert a.norm() / c == pytest.approx(np.sqrt(10), rel=1e-15)
+
+
 class TestConjugations:
     def test_hconj_of_hermitian_diagonal(self):
         a = BqMatrix.diag([1, 2])

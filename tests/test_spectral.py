@@ -10,6 +10,7 @@ from biquat import (
     ONE,
     Biquaternion,
     BqMatrix,
+    CanonicalCase,
     ConvergenceError,
     DimensionError,
     InvalidPairError,
@@ -225,6 +226,25 @@ class TestDerivedEigenvalues:
             for d in derived_complex_eigenvalues(a, pair):
                 assert min(abs(d - w) for w in spectrum) <= 1e-8 * max(1.0, a.norm())
 
+    @pytest.mark.parametrize("k", [-100, -50, -11, 11, 50, 100])
+    @pytest.mark.parametrize(
+        "a",
+        [
+            BqMatrix.from_entries([[JORDAN_ELEMENT, 1], [0, JORDAN_ELEMENT]]),
+            BqMatrix.from_complex([[2, 1, 0], [0, 2, 0], [0, 0, 2]]),
+            single(JORDAN_ELEMENT),
+        ],
+    )
+    def test_null_case_at_any_scale(self, a, k):
+        # the eigenvalue is null-case: its witness onto the fixed form is
+        # ill-conditioned at these scales, and no value depends on it
+        ac = a * 10.0**k
+        pair = regular_right_eigenpair(ac)
+        assert pair.value.canonical_form()[1] is CanonicalCase.NULL
+        spectrum = np.linalg.eigvals(ac.block_repr())
+        for d in derived_complex_eigenvalues(ac, pair):
+            assert np.min(np.abs(d - spectrum)) <= 1e-7 * ac.norm()
+
 
 class TestSimilar:
     def test_reflexive(self):
@@ -272,6 +292,12 @@ class TestSimilar:
         rep_b[1, 2] = 1.0  # J2(4) second
         assert similar(BqMatrix.from_block_repr(rep_a), BqMatrix.from_block_repr(rep_b))
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
+    def test_spectrum_shift_not_similar_at_any_scale(self, c):
+        a = BqMatrix.from_complex(np.diag([1.0, 2.0])) * c
+        b = BqMatrix.from_complex(np.diag([1.0, 3.0])) * c
+        assert similar(a, a) and not similar(a, b)
+
     def test_size_mismatch(self, rng):
         with pytest.raises(DimensionError):
             similar(BqMatrix.identity(2), BqMatrix.identity(3))
@@ -288,6 +314,12 @@ class TestDiagonalizable:
     def test_scaled_size_three_block(self, c):
         j = np.eye(3) + np.diag([1.0, 1.0], 1)
         assert not diagonalizable(BqMatrix.from_complex(j) * c)
+
+    def test_size_three_block_beyond_power_range_is_refused(self):
+        # the powers rule squares entries of 1e160, beyond the float range
+        j = np.eye(3) + np.diag([1.0, 1.0], 1)
+        with pytest.raises(OverflowError):
+            diagonalizable(BqMatrix.from_complex(j) * 1e160)
 
     def test_conjugated_diagonal(self, rng):
         for _ in range(10):
