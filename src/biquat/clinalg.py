@@ -282,22 +282,45 @@ def fingerprints_match(
     fb: list[tuple[complex, tuple[int, ...]]],
     gap: float,
 ) -> bool:
-    """Pair clusters of two fingerprints within ``gap`` and compare structure.
+    """Whether the clusters of two fingerprints pair off one to one, each
+    pair within ``gap`` of each other and with equal Weyr characteristics.
 
-    Uses optimal assignment on eigenvalue distances so near-ties in the sort
-    order cannot produce spurious mismatches.
+    Decided by augmenting paths over the admissible pairs (a perfect
+    bipartite matching), so any valid pairing is found, whatever the sort
+    order of near-ties or the distances within ``gap``.
     """
-    from scipy.optimize import linear_sum_assignment  # slow import, only needed here
     if len(fa) != len(fb):
         return False
-    if not fa:
-        return True
     d = np.subtract.outer([la for la, _ in fa], [lb for lb, _ in fb])
-    cost = np.hypot(d.real, d.imag)  # rounds as abs() does; np.abs may not
-    rows, cols = linear_sum_assignment(cost)
-    for i, j in zip(rows, cols):
-        if cost[i, j] > gap or fa[i][1] != fb[j][1]:
+    near = np.hypot(d.real, d.imag) <= gap  # rounds as abs() does; np.abs may not
+    admissible = [
+        [j for j in np.flatnonzero(row).tolist() if fb[j][1] == weyr]
+        for row, (_, weyr) in zip(near, fa)
+    ]
+    owner: dict[int, int] = {}  # cluster of fb -> its partner in fa
+    partner: dict[int, int] = {}  # cluster of fa -> its partner in fb
+    for start in range(len(fa)):
+        # Search the alternating paths from the unpaired ``start`` for an
+        # unpaired cluster of fb; ``reached`` records how each was reached.
+        reached: dict[int, int] = {}
+        stack, free = [start], None
+        while stack and free is None:
+            i = stack.pop()
+            for j in admissible[i]:
+                if j not in reached:
+                    reached[j] = i
+                    if j not in owner:
+                        free = j
+                        break
+                    stack.append(owner[j])
+        if free is None:
             return False
+        j = free
+        while j is not None:  # flip the pairs along the path back to start
+            i = reached[j]
+            previous = partner.get(i)
+            owner[j], partner[i] = i, j
+            j = previous
     return True
 
 

@@ -11,14 +11,16 @@ complex representations, :func:`scalar.preimage` lifts them back, and
 * ``interleaved_repr``: the 2x2 image of each entry, laid out entrywise.
 
 The two are linked by perfect-shuffle permutations
-(:func:`shuffle_permutations`).  Norms and residuals are taken on the
-components without forming a representation, by
+(:func:`shuffle_permutations`).  Norms are taken on the components without
+forming a representation, by
 ``|block_repr(A)|_F**2 = 2 * sum_k |A_k|_F**2`` (entrywise,
 ``|x + i*y|**2 + |x - i*y|**2 = 2 * (|x|**2 + |y|**2)``).  Inversion,
 pseudoinversion and rank are computed on the block representation and
 lifted back; rank comes out as an exact half-integer (:class:`HalfRank`)
 because the block representation of a zero-divisor-laden matrix can have
-odd rank.
+odd rank.  Inversion pays for one LU factorization: an inverse whose norm
+certifies a condition number well inside the rank rule is accepted as it
+stands, and only a doubtful one is ranked by SVD.
 """
 
 from __future__ import annotations
@@ -180,6 +182,16 @@ class BqMatrix:
     def col(self, j: int) -> "BqMatrix":
         return BqMatrix(self._c[:, :, j : j + 1])
 
+    def _columns(self) -> list["BqMatrix"]:
+        """Every column as an n x 1 matrix viewing this one's read-only,
+        already checked components: no copy and no second check."""
+        out = []
+        for j in range(self.cols):
+            col = object.__new__(BqMatrix)
+            object.__setattr__(col, "_c", self._c[:, :, j : j + 1])
+            out.append(col)
+        return out
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, BqMatrix):
             return NotImplemented
@@ -197,8 +209,8 @@ class BqMatrix:
 
     def norm(self) -> float:
         """Frobenius norm of the block representation (the residual norm
-        used throughout the package)."""
-        return float(_block_norm(self._c))
+        used throughout the package), from ``2 * sum_k |A_k|_F**2``."""
+        return float(_norm(self._c, weight=2))
 
     def __repr__(self) -> str:
         return f"BqMatrix({self.rows}x{self.cols})"
@@ -303,7 +315,12 @@ class BqMatrix:
     # -- lowered computations ----------------------------------------------------------
 
     def inverse(self) -> "BqMatrix":
-        """Two-sided inverse, lifted from the block representation.
+        """Two-sided inverse, lifted from the LU inverse of the block representation.
+
+        ``|rep|_F * |inv|_F`` bounds the condition number of ``rep``; up to
+        ``0.1 / DEFAULT_TOL`` (the 0.1 covers rounding in ``inv``) the rank rule
+        finds full rank, so it is run only beyond that bound, or when LU fails
+        or overflows.  Every verdict is the rank rule's.
 
         Raises:
             NotInvertibleError: if the block representation is numerically
@@ -312,9 +329,21 @@ class BqMatrix:
         """
         n = self._require_square()
         rep = self.block_repr()
-        if clinalg.rank(rep) < 2 * n:
-            raise NotInvertibleError("matrix is singular over the biquaternions")
-        return BqMatrix.from_block_repr(clinalg.within_range(np.linalg.inv(rep), "the inverse"))
+        try:
+            inv = np.linalg.inv(rep)
+        except np.linalg.LinAlgError:
+            inv = None
+        certified = (
+            inv is not None
+            and np.all(np.isfinite(inv))
+            and clinalg.matrix_scale(rep) * clinalg.matrix_scale(inv) <= 0.1 / clinalg.DEFAULT_TOL
+        )
+        if not certified:
+            if clinalg.rank(rep) < 2 * n:
+                raise NotInvertibleError("matrix is singular over the biquaternions")
+            if inv is None:
+                inv = np.linalg.inv(rep)  # an exact zero pivot the rank rule misses: LinAlgError
+        return BqMatrix.from_block_repr(clinalg.within_range(inv, "the inverse"))
 
     def pinv(self) -> "BqMatrix":
         """Moore-Penrose inverse: unique solution of the four Penrose
@@ -346,16 +375,16 @@ def _as_bq(value) -> Biquaternion:
     return Biquaternion(complex(value))
 
 
-def _block_norm(c: np.ndarray, axis=None) -> np.ndarray:
-    """Frobenius norm of the block representation of components ``c``, summed over ``axis``
-    (all of it by default), from ``2 * sum_k |c_k|**2``, rescaled as :func:`clinalg.matrix_scale`."""
+def _norm(c: np.ndarray, axis=None, weight: int = 1) -> np.ndarray:
+    """``sqrt(weight * sum |c|**2)`` over ``axis`` (all of it by default), rescaled
+    as :func:`clinalg.matrix_scale` where the squares leave the float range."""
     with np.errstate(over="ignore"):
-        out = np.sqrt(2 * np.sum(np.abs(c) ** 2, axis=axis))
+        out = np.sqrt(weight * np.sum(np.abs(c) ** 2, axis=axis))
     if 2.0**-480 < out.min(initial=np.inf) and out.max(initial=0.0) < np.inf:
         return out
     unit = clinalg.squaring_unit(np.abs(c).max(axis=axis, keepdims=True, initial=0.0))
     squares = np.sum(np.abs(c * unit) ** 2, axis=axis, keepdims=True)
-    return np.squeeze(np.sqrt(2 * squares) / unit, axis=axis)
+    return np.squeeze(np.sqrt(weight * squares) / unit, axis=axis)
 
 
 def shuffle_permutations(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -215,17 +215,24 @@ class Biquaternion:
         """Two-sided inverse ``dual(a) / weak_norm(a)``, taken on ``a`` scaled
         exactly by a power of two, so the weak norm cannot overflow or underflow.
 
+        The image has ``|image|_F**2 == 2*|a|**2`` and determinant
+        ``weak_norm(a)``, so ``2*|a|**2 / |weak_norm(a)|`` bounds its condition
+        number; up to ``0.1 / DEFAULT_TOL`` the rank rule finds rank 2 and is
+        not run.
+
         Raises:
             NotInvertibleError: when the image has numerical rank below 2
                 (a zero divisor), exactly as the 1x1 :meth:`BqMatrix.inverse`.
             OverflowError: if the inverse lies beyond the float range.
         """
-        if clinalg.rank(self.as_complex_matrix()) < 2:
-            raise NotInvertibleError("the image has rank below 2; element is not invertible")
         comps, unit = self._scaled()
         b = Biquaternion(*comps)
+        wn = b.weak_norm()
+        certified = wn != 0 and 2 * sum(abs(c) ** 2 for c in comps) <= 0.1 / clinalg.DEFAULT_TOL * abs(wn)
+        if not certified and clinalg.rank(self.as_complex_matrix()) < 2:
+            raise NotInvertibleError("the image has rank below 2; element is not invertible")
         try:
-            return b.dual() * (unit / b.weak_norm())
+            return b.dual() * (unit / wn)
         except ValueError as exc:  # raised here only for non-finite components
             raise OverflowError("the inverse exceeds the float range") from exc
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import clinalg
 from .errors import DimensionError, InvalidPairError
-from .matrix import BqMatrix, _block_norm
+from .matrix import BqMatrix, _norm
 from .scalar import Biquaternion, CanonicalCase, image
 
 # Largest eigenpair residual, relative to |A|, that
@@ -75,8 +75,11 @@ def _lift_columns(y: np.ndarray) -> BqMatrix:
     return BqMatrix._wrap(np.stack([up, -1j * up, low, 1j * low]).reshape(4, n, y.shape[1]))
 
 
-def _pair_residual(a: BqMatrix, x: BqMatrix, lam) -> float:
-    return (a @ x - x * lam).norm()
+def _pair_residual(rep: np.ndarray, x: BqMatrix, lam: Biquaternion) -> float:
+    """``|A @ X - X * lam|`` in the block norm, with ``rep`` the block representation
+    of ``A``: ``block(X * lam) == block(X) @ image(lam)``, so one product serves."""
+    bx = x.block_repr()
+    return clinalg.matrix_scale(rep @ bx - bx @ lam.as_complex_matrix())
 
 
 def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
@@ -87,14 +90,18 @@ def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
     eigenvalue exists outside the block representation's spectrum.  Pairs
     are sorted by (real, imag) of the eigenvalue.
     """
-    a._require_square()
-    w, v = clinalg.eig(a.block_repr())
+    n = a._require_square()
+    rep = a.block_repr()
+    w, v = clinalg.eig(rep)
     x = _lift_columns(v)
-    # One product for every column: lam is central, so X * lam scales each
-    # column by its own value.
-    residuals = _block_norm((a @ x).components - x.components * w, axis=(0, 1))
+    # One product for every column: lam is central, so block(X * lam) is
+    # block(X) * lam, and columns k and 2n + k of block(X) are block(X_k).
+    bx = x.block_repr()
+    r = rep @ bx - bx * np.concatenate([w, w])
+    residuals = _norm(r.reshape(2 * n, 2, 2 * n), axis=(0, 1))
     return [
-        EigenPair(complex(w[k]), x.col(k), float(residuals[k])) for k in range(w.size)
+        EigenPair(complex(lam), col, float(res))
+        for lam, col, res in zip(w, x._columns(), residuals)
     ]
 
 
@@ -111,10 +118,11 @@ def regular_right_eigenpair(a: BqMatrix) -> RegularEigenPair:
     n = a._require_square()
     if n < 1:
         raise DimensionError("empty matrix has no eigenpairs")
-    t, q = clinalg.schur(a.block_repr(), vectors=True)
+    rep = a.block_repr()
+    t, q = clinalg.schur(rep, vectors=True)
     x = BqMatrix.from_block_repr(q[:, :2])
     value = Biquaternion.from_complex_matrix(t[:2, :2])
-    return RegularEigenPair(value, x, _pair_residual(a, x, value))
+    return RegularEigenPair(value, x, _pair_residual(rep, x, value))
 
 
 def derived_complex_eigenvalues(a: BqMatrix, pair: RegularEigenPair) -> list[complex]:
@@ -129,7 +137,7 @@ def derived_complex_eigenvalues(a: BqMatrix, pair: RegularEigenPair) -> list[com
     Raises:
         InvalidPairError: if the pair's residual exceeds ``1e-8 * |A|``.
     """
-    residual = _pair_residual(a, pair.vector, pair.value)
+    residual = _pair_residual(a.block_repr(), pair.vector, pair.value)
     if residual > _PAIR_TOL * max(a.norm(), 1e-300):
         raise InvalidPairError(
             f"eigenpair residual {residual:.3e} exceeds tolerance"

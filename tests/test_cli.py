@@ -259,8 +259,7 @@ class TestExitCodes:
 
 class TestStartup:
     def test_import_leaves_out_scipy_optimize(self):
-        # only the similarity verb needs scipy.optimize; the others should
-        # not pay for importing it
+        # no verb needs scipy.optimize, so none should pay for importing it
         src = os.path.dirname(os.path.dirname(biquat.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         code = "import sys, biquat; print('scipy.optimize' in sys.modules)"
@@ -269,8 +268,25 @@ class TestStartup:
         )
         assert proc.stdout.strip() == "False"
 
+    def test_similarity_verdicts_leave_out_scipy_optimize(self):
+        # pairing clusters is a matching search of its own, not scipy's assignment
+        src = os.path.dirname(os.path.dirname(biquat.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys, biquat\n"
+            "from biquat import BqMatrix\n"
+            "simple, jordan = BqMatrix.from_complex([[1, 2], [0, 3]]), BqMatrix.from_complex([[1, 1], [0, 1]])\n"
+            "assert biquat.similar(simple, BqMatrix.from_complex([[3, 0], [0, 1]]))\n"
+            "assert biquat.similar(jordan, jordan)\n"
+            "print('scipy.optimize' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
+
     def test_import_leaves_out_scipy(self):
-        # scipy serves Schur forms and cluster pairing, loaded on first use
+        # scipy serves Schur forms only, loaded on first use
         src = os.path.dirname(os.path.dirname(biquat.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         code = "import sys, biquat; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import warnings
 
 import numpy as np
@@ -386,6 +387,37 @@ class TestClusterEigenvalues:
 
     def test_empty(self):
         assert clinalg.cluster_eigenvalues(np.zeros(0), 1.0) == []
+
+
+class TestFingerprintsMatch:
+    def test_finds_a_pairing_that_minimum_sum_assignment_misses(self):
+        # the identity pairing has the least total distance, 0 + 1.9, but its
+        # second pair is 1.9 apart; the swapped pairing has both at 0.99
+        theta = np.arccos(-0.8416)
+        fa = [(0j, (1,)), (0.99 * np.exp(1j * theta), (1,))]
+        fb = [(0j, (1,)), (0.99 + 0j, (1,))]
+        assert clinalg.fingerprints_match(fa, fb, 1.0)
+
+    def test_pairs_only_equal_weyr_characteristics(self):
+        fa = [(0j, (1, 2)), (0.5 + 0j, (1,))]
+        fb = [(0.4 + 0j, (1, 2)), (0.1 + 0j, (1,))]
+        assert clinalg.fingerprints_match(fa, fb, 0.45)
+        assert not clinalg.fingerprints_match(fa, fb, 0.39)
+        assert not clinalg.fingerprints_match(fa, fb[:1], 1.0)
+        assert clinalg.fingerprints_match([], [], 0.0)
+
+    def test_matches_brute_force_over_pairings(self, rng):
+        for _ in range(300):
+            k = int(rng.integers(1, 6))
+            weyrs = [(1,), (1, 2), (2,)]
+            fa = [(complex(*rng.random(2)), weyrs[rng.integers(3)]) for _ in range(k)]
+            fb = [(complex(*rng.random(2)), weyrs[rng.integers(3)]) for _ in range(k)]
+            gap = float(rng.random())
+            expected = any(
+                all(abs(fa[i][0] - fb[j][0]) <= gap and fa[i][1] == fb[j][1] for i, j in enumerate(perm))
+                for perm in itertools.permutations(range(k))
+            )
+            assert clinalg.fingerprints_match(fa, fb, gap) == expected
 
 
 class TestWeyrBlocks:

@@ -317,6 +317,85 @@ class TestInverse:
             assert mat_close(inv @ a, BqMatrix.identity(n), tol=1e-9)
 
 
+def _conditioned(rng, n, log_kappa):
+    """An n x n matrix whose block representation has singular values spaced
+    geometrically from 1 down to 10**-log_kappa."""
+    u, _, vh = np.linalg.svd(sampling.unit_matrix(rng, n, n).block_repr())
+    return BqMatrix.from_block_repr((u * np.logspace(0, -log_kappa, 2 * n)) @ vh)
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    original = clinalg.singular_values
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(clinalg, "singular_values", counted)
+    return calls
+
+
+class TestInverseCertificate:
+    """The LU inverse is accepted without an SVD when |block| |inverse| bounds
+    the condition number below 0.1 / DEFAULT_TOL; every verdict is the rank rule's."""
+
+    LOG_KAPPAS = [*np.linspace(8, 12, 9), *np.linspace(9.9, 10.1, 11)]
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("log_kappa", LOG_KAPPAS)
+    def test_raises_exactly_where_the_rank_rule_does(self, rng, n, log_kappa):
+        a = _conditioned(rng, n, log_kappa)
+        if clinalg.rank(a.block_repr()) < 2 * n:
+            with pytest.raises(NotInvertibleError):
+                a.inverse()
+        else:
+            inv = a.inverse()
+            err = np.linalg.norm(a.block_repr() @ inv.block_repr() - np.eye(2 * n))
+            assert err <= 1e-15 * 10**log_kappa * 2 * n
+
+    def test_sweep_reaches_both_verdicts(self, rng):
+        ranks = {clinalg.rank(_conditioned(rng, 2, k).block_repr()) for k in self.LOG_KAPPAS}
+        assert ranks == {3, 4}
+
+    @pytest.mark.parametrize("log_kappa", [0, 4, 8])
+    def test_no_svd_when_well_conditioned(self, rng, monkeypatch, log_kappa):
+        a = _conditioned(rng, 3, log_kappa)
+        svds = _count_svds(monkeypatch)
+        a.inverse()
+        assert svds == []
+
+    @pytest.mark.parametrize("log_kappa", [9.5, 9.95, 10.05, 11])
+    def test_one_svd_in_the_doubtful_band(self, rng, monkeypatch, log_kappa):
+        a = _conditioned(rng, 3, log_kappa)
+        svds = _count_svds(monkeypatch)
+        try:
+            a.inverse()
+        except NotInvertibleError:
+            pass
+        assert svds == [(6, 6)]
+
+    def test_singular_and_zero_divisor_matrices(self, monkeypatch):
+        svds = _count_svds(monkeypatch)
+        for a in (
+            BqMatrix.zeros(2, 2),
+            BqMatrix.from_entries([[ZD, 0], [0, 1]]),
+            BqMatrix.from_entries([[1, E1], [E1, -1]]),  # rows differ by a factor of E1
+        ):
+            with pytest.raises(NotInvertibleError):
+                a.inverse()
+        assert len(svds) == 3
+
+    @pytest.mark.parametrize("k", [-300, -200, -100, 0, 100, 200, 300])
+    def test_at_any_scale(self, rng, monkeypatch, k):
+        a = sampling.unit_matrix(rng, 3, 3)
+        svds = _count_svds(monkeypatch)
+        inv = a.inverse()
+        c = 10.0**k
+        assert (a * c).inverse().allclose(inv * (1 / c), 1e-13 * np.linalg.cond(a.block_repr()))
+        assert svds == []
+
+
 class TestPinv:
     def test_zero(self):
         assert BqMatrix.zeros(2, 3).pinv() == BqMatrix.zeros(3, 2)

@@ -142,6 +142,38 @@ class TestInverse:
         with pytest.raises(OverflowError):
             a.pinv()
 
+    @pytest.mark.parametrize("c", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)])
+    def test_certificate_sweep_agrees_with_rank_rule_and_1x1_matrix(self, c, phase):
+        # a = c * phase * (1 + i*sqrt(x) e2) has weak_norm / |a|**2 = (1 - x) / (1 + x) = r
+        verdicts = set()
+        for r in np.logspace(-8, -12, 81):
+            x = (1 - r) / (1 + r)
+            a = Biquaternion(c * phase, 0, 1j * np.sqrt(x) * c * phase)
+            singular = clinalg.rank(a.as_complex_matrix()) < 2
+            verdicts.add(singular)
+            try:
+                inv = a.inverse()
+            except NotInvertibleError:
+                assert singular
+                with pytest.raises(NotInvertibleError):
+                    BqMatrix.from_entries([[a]]).inverse()
+            else:
+                assert not singular
+                assert bq_close(BqMatrix.from_entries([[a]]).inverse().entry(0, 0), inv, 1e-5 * inv.norm())
+        assert verdicts == {False, True}
+
+    def test_no_svd_when_well_conditioned(self, monkeypatch):
+        calls = []
+        original = clinalg.singular_values
+        monkeypatch.setattr(clinalg, "singular_values", lambda m: calls.append(m) or original(m))
+        for a in (E1, Biquaternion(2, 1, 0, 1j), Biquaternion(1e-300, 1e-300), Biquaternion(1e300)):
+            a.inverse()
+        assert calls == []
+        with pytest.raises(NotInvertibleError):
+            Biquaternion(1, 1j).inverse()
+        assert len(calls) == 1
+
     def test_two_sided(self, rng):
         for _ in range(50):
             a = sampling.invertible_integer_scalar(rng)

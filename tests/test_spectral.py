@@ -126,6 +126,23 @@ class TestRightEigenpairs:
         assert pairs[0].residual > 1e-2 * a.norm() * pairs[0].vector.norm()
         assert all(p.residual <= 1e-12 * a.norm() for p in pairs[1:])
 
+    @pytest.mark.parametrize("k", [-300, -250, -200, -100, -10, 0, 10, 100, 200, 250, 300])
+    def test_residuals_at_any_scale(self, rng, k):
+        a = sampling.unit_matrix(rng, 3, 3)
+        ac = a * 10.0**k
+        pairs, scaled = right_eigenpairs(a), right_eigenpairs(ac)
+        for p, q in zip(pairs, scaled):
+            assert q.value == pytest.approx(p.value * 10.0**k, rel=1e-14)
+            assert q.residual <= 1e-14 * ac.norm() * q.vector.norm()
+            direct = (ac @ q.vector - q.vector * q.value).norm()
+            assert abs(q.residual - direct) <= 1e-14 * ac.norm() * q.vector.norm()
+
+    def test_vectors_are_read_only_columns(self, rng):
+        a = sampling.unit_matrix(rng, 2, 2)
+        for p in right_eigenpairs(a):
+            assert p.vector.shape == (2, 1)
+            assert not p.vector.components.flags.writeable
+
 
 class TestRegularEigenpair:
     def test_basis_entry(self):
