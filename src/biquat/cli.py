@@ -24,11 +24,12 @@ from .errors import BiquatError, DimensionError
 from .matrix import BqMatrix
 from .scalar import format_biquaternion, format_complex, parse_biquaternion
 from .spectral import (
-    _diagonalizable,
-    _similar,
-    _similar_to_complex,
+    _structure,
+    diagonalizable,
     regular_right_eigenpair,
     right_eigenpairs,
+    similar,
+    similar_to_complex,
 )
 from .verify import verify_suite
 
@@ -117,37 +118,39 @@ def cmd_canonical(args) -> int:
     return 0
 
 
-def _print_fingerprint(label: str, fp) -> None:
+def _print_fingerprint(label: str, a: BqMatrix) -> None:
     # Jordan structure is decided by tolerance clustering; printing it lets
-    # users audit borderline verdicts near multiple eigenvalues.
+    # users audit borderline verdicts near multiple eigenvalues.  The verdict
+    # has just computed it, so _structure returns it without recomputing.
     print(f"fingerprint {label}:")
-    for lam, weyr in fp:
+    for lam, weyr in _structure(a)[0]:
         print(f"  eigenvalue {format_complex(lam, DIGITS)}  weyr {','.join(map(str, weyr))}")
 
 
 def cmd_similar(args) -> int:
-    verdict, fa, fb = _similar(_load(args.matrix_a), _load(args.matrix_b))
-    print("similar" if verdict else "not similar")
-    _print_fingerprint("A", fa)
-    _print_fingerprint("B", fb)
+    a, b = _load(args.matrix_a), _load(args.matrix_b)
+    print("similar" if similar(a, b) else "not similar")
+    _print_fingerprint("A", a)
+    _print_fingerprint("B", b)
     return 0
 
 
 def cmd_diagonalizable(args) -> int:
-    verdict, fp = _diagonalizable(_load(args.matrix))
-    print("diagonalizable" if verdict else "not diagonalizable")
-    _print_fingerprint("block representation", fp)
+    a = _load(args.matrix)
+    print("diagonalizable" if diagonalizable(a) else "not diagonalizable")
+    _print_fingerprint("block representation", a)
     return 0
 
 
 def cmd_similar_to_complex(args) -> int:
-    verdict, j, fp = _similar_to_complex(_load(args.matrix))
+    a = _load(args.matrix)
+    verdict, j = similar_to_complex(a)
     if not verdict:
         print("not similar to a complex matrix")
     else:
         print("similar to a complex matrix; Jordan-form witness:")
         _print_cmatrix(j)
-    _print_fingerprint("block representation", fp)
+    _print_fingerprint("block representation", a)
     return 0
 
 

@@ -10,6 +10,10 @@ similar over the algebra exactly when their block representations are
 similar over the complex numbers (equal Jordan fingerprints).  Similarity,
 diagonalizability and similarity to a complex matrix read the one Jordan
 structure of :func:`clinalg.jordan_fingerprint`, from eigenvalues only.
+Consecutive verdicts reuse the Jordan structure of their last two operands,
+keyed by the matrix value, so ``similar(x, y)`` followed by
+``diagonalizable(x)`` computes two fingerprints, not three; an error is not
+kept, and a refused matrix is refused again on every call.
 
 A *regular* right eigenpair is one whose eigenvector has rank 1 as a
 quaternion column (block-representation rank 2); its eigenvalue is a full
@@ -23,6 +27,7 @@ orthonormal columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,6 +156,18 @@ def derived_complex_eigenvalues(a: BqMatrix, pair: RegularEigenPair) -> list[com
     return [m11, m22]
 
 
+@lru_cache(maxsize=2)
+def _structure(a: BqMatrix) -> tuple[tuple[tuple[complex, tuple[int, ...]], ...], float]:
+    """Jordan fingerprint and scale of the block representation of ``a``.
+
+    Kept for the last two operands, keyed by the matrix value: one
+    :func:`similar` call has two, and the next verdict on either reuses its
+    structure.  A raised error is not kept, so it is raised again.
+    """
+    block = a.block_repr()
+    return tuple(clinalg.jordan_fingerprint(block)), clinalg.matrix_scale(block)
+
+
 def similar(a: BqMatrix, b: BqMatrix) -> bool:
     """Similarity over the biquaternion algebra.
 
@@ -161,7 +178,12 @@ def similar(a: BqMatrix, b: BqMatrix) -> bool:
     Raises:
         ConvergenceError, OverflowError: see :func:`clinalg.jordan_fingerprint`.
     """
-    return _similar(a, b)[0]
+    a._require_square()
+    b._require_square()
+    if a.shape != b.shape:
+        raise DimensionError(f"size mismatch: {a.shape} vs {b.shape}")
+    (fa, scale_a), (fb, scale_b) = _structure(a), _structure(b)
+    return clinalg.fingerprints_match(fa, fb, clinalg.CLUSTER_TOL * max(scale_a, scale_b, 1e-300))
 
 
 def diagonalizable(a: BqMatrix) -> bool:
@@ -176,7 +198,13 @@ def diagonalizable(a: BqMatrix) -> bool:
     Raises:
         ConvergenceError, OverflowError: see :func:`clinalg.jordan_fingerprint`.
     """
-    return _diagonalizable(a)[0]
+    a._require_square()
+    for _, weyr in _structure(a)[0]:
+        mult = weyr[-1]
+        nu2 = weyr[1] if len(weyr) > 1 else weyr[0]
+        if nu2 != mult:
+            return False
+    return True
 
 
 def similar_to_complex(a: BqMatrix) -> tuple[bool, np.ndarray | None]:
@@ -190,44 +218,12 @@ def similar_to_complex(a: BqMatrix) -> tuple[bool, np.ndarray | None]:
     Raises:
         ConvergenceError, OverflowError: see :func:`clinalg.jordan_fingerprint`.
     """
-    return _similar_to_complex(a)[:2]
-
-
-# Each verdict below also returns the fingerprints it was decided from, so
-# the CLI prints the very structure behind the verdict without recomputing it.
-
-
-def _similar(a: BqMatrix, b: BqMatrix):
-    a._require_square()
-    b._require_square()
-    if a.shape != b.shape:
-        raise DimensionError(f"size mismatch: {a.shape} vs {b.shape}")
-    ra, rb = a.block_repr(), b.block_repr()
-    fa = clinalg.jordan_fingerprint(ra)
-    fb = clinalg.jordan_fingerprint(rb)
-    scale = max(clinalg.matrix_scale(ra), clinalg.matrix_scale(rb), 1e-300)
-    return clinalg.fingerprints_match(fa, fb, clinalg.CLUSTER_TOL * scale), fa, fb
-
-
-def _diagonalizable(a: BqMatrix):
-    a._require_square()
-    fp = clinalg.jordan_fingerprint(a.block_repr())
-    for _, weyr in fp:
-        mult = weyr[-1]
-        nu2 = weyr[1] if len(weyr) > 1 else weyr[0]
-        if nu2 != mult:
-            return False, fp
-    return True, fp
-
-
-def _similar_to_complex(a: BqMatrix):
     n = a._require_square()
-    fp = clinalg.jordan_fingerprint(a.block_repr())
     blocks: list[tuple[complex, int]] = []
-    for lam, weyr in fp:
+    for lam, weyr in _structure(a)[0]:
         for size, count in clinalg.weyr_to_block_sizes(weyr).items():
             if count % 2:
-                return False, None, fp
+                return False, None
             blocks.extend([(lam, size)] * (count // 2))
     blocks.sort(key=lambda item: (item[0].real, item[0].imag, item[1]))
     j = np.zeros((n, n), dtype=complex)
@@ -237,4 +233,4 @@ def _similar_to_complex(a: BqMatrix):
             np.ones(size - 1), 1
         )
         pos += size
-    return True, j, fp
+    return True, j

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biquat import Biquaternion, BqMatrix
+from biquat import Biquaternion, BqMatrix, spectral
 
 
 def bq_close(a: Biquaternion, b: Biquaternion, tol: float = 1e-12) -> bool:
@@ -64,6 +64,13 @@ def split_cluster_matrix() -> BqMatrix:
         u = u @ (BqMatrix.identity(8) + BqMatrix(nil))
         u_inv = (BqMatrix.identity(8) - BqMatrix(nil)) @ u_inv
     return u @ BqMatrix.from_complex(j) @ u_inv
+
+
+@pytest.fixture(autouse=True)
+def fresh_structure_cache():
+    # Verdicts keep the Jordan structure of their last operands; a test that
+    # counts fingerprints must not see an earlier test's matrices.
+    spectral._structure.cache_clear()
 
 
 @pytest.fixture

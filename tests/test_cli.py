@@ -139,21 +139,31 @@ class TestNumericCommands:
 
 
 class TestSimilarityVerbs:
-    @pytest.mark.parametrize("verb, documents", [("similar", 2), ("diagonalizable", 1), ("similar-to-complex", 1)])
-    def test_one_fingerprint_per_matrix(self, capsys, write_doc, monkeypatch, verb, documents):
+    @pytest.mark.parametrize(
+        "verb, matrices, fingerprints",
+        [
+            ("similar", [BqMatrix.diag([E1, -E1]), BqMatrix.diag([E1, E1])], 2),
+            ("similar", [BqMatrix.diag([E1, -E1])] * 2, 1),
+            ("diagonalizable", [BqMatrix.diag([E1, -E1])], 1),
+            ("similar-to-complex", [BqMatrix.diag([E1, -E1])], 1),
+        ],
+        ids=["similar-2", "similar-1", "diagonalizable-1", "similar-to-complex-1"],
+    )
+    def test_one_fingerprint_per_matrix(self, capsys, write_doc, monkeypatch, verb, matrices, fingerprints):
         # the verdict and the printed fingerprints come from one computation
-        fingerprints = []
+        # per distinct matrix: equal documents share it
+        computed = []
         fingerprint = clinalg.jordan_fingerprint
 
         def counted_fingerprint(*args, **kwargs):
-            fingerprints.append(args)
+            computed.append(args)
             return fingerprint(*args, **kwargs)
 
         monkeypatch.setattr(clinalg, "jordan_fingerprint", counted_fingerprint)
-        paths = [write_doc(BqMatrix.diag([E1, -E1])) for _ in range(documents)]
+        paths = [write_doc(m) for m in matrices]
         code, out, _ = run_cli(capsys, verb, *paths)
         assert code == 0 and "fingerprint" in out
-        assert len(fingerprints) == documents
+        assert len(computed) == fingerprints
 
 
 class TestExitCodes:

@@ -451,3 +451,74 @@ class TestVerdictsReadEigenvaluesOnly:
         ok, witness = similar_to_complex(a)
         assert ok
         np.testing.assert_array_equal(np.diag(witness, 1) != 0, [False, False, True])
+
+
+class TestStructureReuse:
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        blocks = []
+        fingerprint = clinalg.jordan_fingerprint
+
+        def counted_fingerprint(block):
+            blocks.append(block)
+            return fingerprint(block)
+
+        monkeypatch.setattr(clinalg, "jordan_fingerprint", counted_fingerprint)
+        return blocks
+
+    @staticmethod
+    def operands(rng):
+        # X = P^-1 from_complex(J2(2+i) + J1(2+i) + J1(-1)) P, a conjugate Y
+        # of X, and Z with the same spectrum but no Jordan block
+        j = np.diag([2 + 1j, 2 + 1j, 2 + 1j, -1])
+        j[0, 1] = 1
+        p, q = (sampling.invertible_integer_matrix(rng, 4) for _ in range(2))
+        x = p.inverse() @ BqMatrix.from_complex(j) @ p
+        return x, q.inverse() @ x @ q, BqMatrix.from_complex(np.diag(np.diag(j)))
+
+    @staticmethod
+    def verdicts(x, y, z):
+        return similar(x, y), similar(x, z), diagonalizable(x), similar_to_complex(x)
+
+    def test_one_fingerprint_per_operand(self, rng, computed):
+        x, y, z = self.operands(rng)
+        assert self.verdicts(x, y, z)[:3] == (True, False, True)
+        assert len(computed) == 3
+
+    def test_last_two_operands_are_kept(self, rng, computed):
+        x, y, z = self.operands(rng)
+        diagonalizable(x)
+        diagonalizable(x)
+        assert len(computed) == 1
+        similar(y, z)
+        assert len(computed) == 3
+        diagonalizable(x)  # y and z displaced x
+        assert len(computed) == 4
+
+    def test_errors_are_not_kept(self, computed):
+        x = split_cluster_matrix()
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                diagonalizable(x)
+        assert len(computed) == 2
+        assert spectral._structure.cache_info().currsize == 0
+
+    def test_same_results_as_a_cleared_cache(self, rng):
+        x, y, z = self.operands(rng)
+        calls = [
+            lambda: similar(x, y),
+            lambda: similar(x, z),
+            lambda: diagonalizable(x),
+            lambda: similar_to_complex(x),
+            lambda: spectral._structure(x),
+        ]
+        kept = [call() for call in calls]
+        assert spectral._structure.cache_info().hits == 4
+        fresh = []
+        for call in calls:
+            spectral._structure.cache_clear()
+            fresh.append(call())
+        assert kept[:3] == fresh[:3] and kept[4] == fresh[4]
+        (ok, witness), (fresh_ok, fresh_witness) = kept[3], fresh[3]
+        assert ok and fresh_ok
+        np.testing.assert_array_equal(witness, fresh_witness)
