@@ -4,8 +4,14 @@ Matrices travel as JSON matrix documents (see :mod:`biquat.io`) read from a
 file argument or stdin (``-``).  Complex numbers are printed as ``re+imi``
 with 17 significant digits, enough for a bit-exact double round trip.
 
-Exit codes: 0 success, 1 input parse error, 2 dimension error, 3 numerical
-failure (singular input, non-convergence, overflow, failed verification).
+Exit codes: 0 success, 1 input error (a document that cannot be read or
+parsed), 2 dimension error, 3 numerical failure (singular input,
+non-convergence, overflow, failed verification).  Overflow includes a value
+that a finite document leads out of the float range: a block representation
+cell, an eigenvalue or the matrix scale of the Jordan fingerprint, a Schur
+form or an answer.  A closed standard output (the reader stopped early, as
+``head`` does) ends the command quietly with 141, the status of a process
+that a closed pipe ends; what the reader took is unchanged.
 
 Every verb decides with the library's fixed thresholds: the rank rule
 ``clinalg.DEFAULT_TOL`` and the eigenvalue cluster rule ``clinalg.CLUSTER_TOL``.
@@ -14,6 +20,7 @@ Every verb decides with the library's fixed thresholds: the rank rule
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -34,6 +41,7 @@ from .spectral import (
 from .verify import verify_suite
 
 DIGITS = 17
+CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process a closed pipe ended
 
 
 def _print_cmatrix(m: np.ndarray) -> None:
@@ -42,9 +50,13 @@ def _print_cmatrix(m: np.ndarray) -> None:
 
 
 def _load(path: str) -> BqMatrix:
-    if path == "-":
-        return io.loads(sys.stdin.read())
-    return io.load_matrix(path)
+    # Only reading the input is an input error; an OSError elsewhere is not.
+    try:
+        if path == "-":
+            return io.loads(sys.stdin.read())
+        return io.load_matrix(path)
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def _emit(a: BqMatrix) -> None:
@@ -207,11 +219,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the flush at exit cannot
+        # fail again and print a traceback.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout without a descriptor
+            pass
+        return CLOSED_STDOUT
     except DimensionError as exc:
         print(f"error: dimension: {args.command}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: parse: {args.command}: {exc}", file=sys.stderr)
         return 1
     except (BiquatError, ArithmeticError) as exc:

@@ -13,9 +13,19 @@ exact for integer-valued inputs at desk scale.  Jordan structure reads
 eigenvalues only, plus singular values of one Schur form without vectors
 for repeated clusters; Schur vectors are formed only for regular
 eigenpairs (:func:`schur` with ``vectors=True``).
+
+The routines take finite arrays: the library checks a value once, where it
+enters (:func:`as_cmatrix` for a matrix from outside, and the constructors
+of :mod:`scalar` and :mod:`matrix`) or where a step can take it out of the
+float range.  Here that is every output that can overflow on finite input
+(determinant, pseudoinverse, characteristic polynomial, eigenpairs, Schur
+form and vectors, the powers of a cluster block), which :func:`within_range`
+turns into ``OverflowError``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -30,12 +40,19 @@ CLUSTER_TOL = 1e-7
 
 
 def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
+    """Coerce to a 2-D complex128 array, rejecting non-finite entries: the
+    check for a matrix that enters from outside the library."""
+    m = _matrix(a)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    return m
+
+
+def _matrix(a) -> np.ndarray:
+    # The routines' own coercion: finite input is their precondition.
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
     return m
 
 
@@ -47,7 +64,7 @@ def _require_square(m: np.ndarray) -> int:
 
 def within_range(x, what: str):
     """``x`` if all of it is finite; OverflowError naming ``what`` if not."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise OverflowError(f"{what} exceeds the float range")
     return x
 
@@ -61,7 +78,7 @@ def det(a) -> complex:
     Raises:
         OverflowError: if the determinant lies beyond the float range.
     """
-    m = as_cmatrix(a)
+    m = _matrix(a)
     n = _require_square(m)
     with np.errstate(over="ignore", invalid="ignore"):
         if n == 0:
@@ -82,7 +99,7 @@ def det(a) -> complex:
 
 
 def singular_values(a) -> np.ndarray:
-    m = as_cmatrix(a)
+    m = _matrix(a)
     if 0 in m.shape:
         return np.zeros(0)
     return np.linalg.svd(m, compute_uv=False)
@@ -102,7 +119,7 @@ def pinv(a) -> np.ndarray:
     Raises:
         OverflowError: if the pseudoinverse lies beyond the float range.
     """
-    m = as_cmatrix(a)
+    m = _matrix(a)
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.linalg.pinv(m, rcond=DEFAULT_TOL)
     return within_range(p, "the pseudoinverse")
@@ -113,25 +130,35 @@ def eig(a) -> tuple[np.ndarray, np.ndarray]:
 
     Eigenvalues are sorted lexicographically by (real, imag) so output is
     reproducible; the eigenvector columns are permuted to match.
+
+    Raises:
+        OverflowError: if an eigenvalue or eigenvector is not finite.
     """
-    m = as_cmatrix(a)
+    m = _matrix(a)
     _require_square(m)
     try:
         w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    within_range(w, "an eigenvalue")
+    within_range(v, "an eigenvector")
     order = np.lexsort((w.imag, w.real))
     return w[order], v[:, order]
 
 
 def eigvals(a) -> np.ndarray:
-    """Sorted eigenvalues only."""
-    m = as_cmatrix(a)
+    """Sorted eigenvalues only.
+
+    Raises:
+        OverflowError: if an eigenvalue lies beyond the float range.
+    """
+    m = _matrix(a)
     _require_square(m)
     try:
         w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    within_range(w, "an eigenvalue")
     return w[np.lexsort((w.imag, w.real))]
 
 
@@ -145,16 +172,17 @@ def charpoly(a) -> Polynomial:
     Raises:
         OverflowError: if a coefficient lies beyond the float range.
     """
-    m = as_cmatrix(a)
+    m = _matrix(a)
     n = _require_square(m)
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[n] = 1.0
     p = np.zeros_like(m)
     c = 1.0 + 0j
+    eye = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n + 1):
-            p = m @ (p + c * np.eye(n))
-            c = -np.trace(p) / k
+            p = m @ (p + c * eye)
+            c = -p.trace() / k
             coeffs[n - k] = c
     return Polynomial(within_range(coeffs, "the characteristic polynomial"))
 
@@ -167,10 +195,11 @@ def squaring_unit(top):
 
 def matrix_scale(a) -> float:
     """Frobenius norm, the scale of relative tolerances, rescaled where squares overflow or underflow."""
-    m = as_cmatrix(a)
-    with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm(m))
-    if 2.0**-480 < scale < np.inf:
+    m = _matrix(a)
+    x = m.ravel(order="K")
+    with np.errstate(over="ignore"):  # the sums of np.linalg.norm, without its wrapper
+        scale = math.sqrt(float(x.real.dot(x.real)) + float(x.imag.dot(x.imag)))
+    if 2.0**-480 < scale < math.inf:
         return scale
     unit = float(squaring_unit(np.abs(m).max(initial=0.0)))
     return float(np.linalg.norm(m * unit)) / unit
@@ -182,24 +211,30 @@ def cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
     Single linkage: two eigenvalues land in the same cluster whenever a chain
     of gaps of at most ``gap`` connects them.  Each index array is ascending,
     and clusters come in the order of their smallest index (for sorted ``w``,
-    the order of their values).
+    the order of their values).  When no two eigenvalues are within ``gap``,
+    every cluster is a singleton and no linkage pass runs.
     """
     w = np.asarray(w, dtype=complex)
     if w.size == 0:
         return []
     near = np.abs(w[:, None] - w) <= gap
-    # Every index takes the smallest label among its neighbours until the
-    # labels settle; each cluster then carries its smallest index.
-    labels = np.arange(w.size)
-    while True:
+    near.flat[:: w.size + 1] = True  # even where the distance is nan
+    if np.count_nonzero(near) == w.size:
+        return list(np.arange(w.size)[:, None])
+    # Every index takes the smallest label among its neighbours, starting
+    # from its own index (argmax finds the first pass: the smallest
+    # neighbour).  A label travels one link a pass, so w.size passes settle
+    # every chain, and each cluster then carries its smallest index.
+    labels = near.argmax(axis=1)
+    for _ in range(w.size):
         lowest = np.where(near, labels, w.size).min(axis=1)
         if (lowest == labels).all():
             break
         labels = lowest
-    order = np.argsort(labels, kind="stable")
-    # Slices of one sorted array (np.split costs as much again at this size).
-    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), w.size]
-    return [order[i:j] for i, j in zip(cuts, cuts[1:])]
+    clusters: dict[int, list[int]] = {}
+    for i, label in enumerate(labels.tolist()):
+        clusters.setdefault(label, []).append(i)
+    return [np.array(members) for members in clusters.values()]
 
 
 def schur(a, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
@@ -208,17 +243,32 @@ def schur(a, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     One LAPACK ``zgees`` call (no eigenvalue ordering); ``q`` is unitary, and
     ``None`` unless ``vectors``.  The leading ``k`` columns of ``q`` span an
     invariant subspace: ``a @ q[:, :k] == q[:, :k] @ t[:k, :k]``.
+
+    Raises:
+        OverflowError: if an entry of ``t`` or ``q`` is not finite.
     """
     from scipy.linalg import lapack  # slow import, needed only for Schur forms
-    m = as_cmatrix(a)
+    m = _matrix(a)
     _require_square(m)
     t, _, _, q, _, info = lapack.zgees(lambda z: None, m, compute_v=vectors)
     if info:
         raise ConvergenceError(f"Schur iteration failed: info={info}")
-    return t, (q if vectors else None)
+    return within_range(t, "the Schur form"), (within_range(q, "the Schur vectors") if vectors else None)
 
 
-def jordan_fingerprint(a) -> list[tuple[complex, tuple[int, ...]]]:
+class Fingerprint(list):
+    """The result of :func:`jordan_fingerprint`: its list of ``(lam, weyr)``
+    clusters, with the matrix's Frobenius norm (:func:`matrix_scale`) as
+    ``scale``, so that a comparison of fingerprints needs no second norm."""
+
+    __slots__ = ("scale",)
+
+    def __init__(self, clusters, scale: float):
+        super().__init__(clusters)
+        self.scale = scale
+
+
+def jordan_fingerprint(a) -> Fingerprint:
     """Eigenvalue clusters with their Weyr characteristics.
 
     Returns ``[(lam, (nu_1, nu_2, ...)), ...]`` sorted by (real, imag) of
@@ -229,7 +279,8 @@ def jordan_fingerprint(a) -> list[tuple[complex, tuple[int, ...]]]:
     One eigenvalue computation yields the spectrum; eigenvalues closer than
     ``CLUSTER_TOL`` times the matrix scale are merged (Jordan structure is
     discontinuous, so this is a documented heuristic).  A cluster of one
-    eigenvalue has Weyr characteristic ``(1,)``.  A repeated cluster is read
+    eigenvalue has Weyr characteristic ``(1,)``; when every cluster is one,
+    nothing more is computed.  A repeated cluster is read
     off the leading block of one complex Schur form (no Schur vectors)
     reordered to put as many Schur eigenvalues first as the cluster has, the
     nearest ones, so no other eigenvalue enters its nullities: with ``b`` the
@@ -241,40 +292,53 @@ def jordan_fingerprint(a) -> list[tuple[complex, tuple[int, ...]]]:
     Raises:
         ConvergenceError: if a cluster's nullities are no Weyr characteristic
             (see :func:`weyr_to_block_sizes`): the cluster is unresolved.
-        OverflowError: if ``b**(k-1) / s**(k-2) @ b`` leaves the float range.
+        OverflowError: if the matrix's Frobenius norm or an eigenvalue lies
+            beyond the float range (eigenvalues of a finite matrix can), or
+            ``b**(k-1) / s**(k-2) @ b`` leaves it.
     """
-    m = as_cmatrix(a)
-    if _require_square(m) == 0:
-        return []
+    m = _matrix(a)
+    n = _require_square(m)
+    norm = matrix_scale(m)
+    if n == 0:
+        return Fingerprint([], norm)
+    if norm == math.inf:  # every cluster would merge, and every nullity be full
+        raise OverflowError("the scale of the matrix exceeds the float range")
     w = eigvals(m)
-    scale = max(matrix_scale(m), float(np.max(np.abs(w))), 1e-300)
-    out, t = [], None
-    for idx in cluster_eigenvalues(w, CLUSTER_TOL * scale):
-        if idx.size == 1:
-            out.append((complex(w[idx[0]]), (1,)))
-            continue
-        if t is None:
-            t, _ = schur(m)
-            from scipy.linalg import lapack  # loaded by schur; ztrsen reorders t
-        d = np.abs(np.diag(t)[:, None] - w[idx]).min(axis=1)
-        # With wantq=0, ztrsen reads no Schur vectors; t stands in for them.
-        tk, _, _, k, *_ = lapack.ztrsen(d <= np.sort(d)[idx.size - 1], t, t, job="N", wantq=0)
-        lam = complex(np.mean(w[idx]))
-        shifted = tk[:k, :k] - lam * np.eye(k)
-        s = singular_values(shifted)
-        weyr = [int(np.count_nonzero(s <= DEFAULT_TOL * scale))]
-        power = shifted
-        while weyr[-1] < k:
-            with np.errstate(over="ignore", invalid="ignore"):
+    scale = max(norm, float(np.abs(w).max()), 1e-300)
+    clusters = cluster_eigenvalues(w, CLUSTER_TOL * scale)
+    if len(clusters) == w.size:  # all singletons, in the sorted order of w
+        return Fingerprint([(lam, (1,)) for lam in w.tolist()], norm)
+    from scipy.linalg import lapack  # ztrsen reorders the Schur form
+
+    out = []
+    t, _ = schur(m)
+    # Distances from each Schur eigenvalue to each eigenvalue.
+    apart = np.abs(t.diagonal()[:, None] - w)
+    eye = np.eye(n)
+    cutoff = DEFAULT_TOL * scale
+    with np.errstate(over="ignore", invalid="ignore"):  # within_range reports overflow
+        for idx in clusters:
+            if idx.size == 1:
+                out.append((complex(w[idx[0]]), (1,)))
+                continue
+            d = apart[:, idx].min(axis=1)
+            # With wantq=0, ztrsen reads no Schur vectors; t stands in for them.
+            tk, _, _, k, *_ = lapack.ztrsen(d <= np.sort(d)[idx.size - 1], t, t, job="N", wantq=0)
+            lam = complex(w[idx].sum() / idx.size)
+            shifted = tk[:k, :k] - lam * eye[:k, :k]
+            s = singular_values(shifted)
+            weyr = [int(np.count_nonzero(s <= cutoff))]
+            power = shifted
+            while weyr[-1] < k:
                 power = within_range(power @ shifted / s[0], "a power of a cluster block")
-            nullity = int(np.count_nonzero(singular_values(power) <= DEFAULT_TOL * scale))
-            if nullity <= weyr[-1]:
-                break
-            weyr.append(nullity)
-        weyr_to_block_sizes(tuple(weyr))  # raises unless weyr is a Weyr characteristic
-        out.append((lam, tuple(weyr)))
+                nullity = int(np.count_nonzero(singular_values(power) <= cutoff))
+                if nullity <= weyr[-1]:
+                    break
+                weyr.append(nullity)
+            weyr_to_block_sizes(tuple(weyr))  # raises unless weyr is a Weyr characteristic
+            out.append((lam, tuple(weyr)))
     out.sort(key=lambda c: (c[0].real, c[0].imag))
-    return out
+    return Fingerprint(out, norm)
 
 
 def fingerprints_match(
@@ -293,10 +357,10 @@ def fingerprints_match(
         return False
     d = np.subtract.outer([la for la, _ in fa], [lb for lb, _ in fb])
     near = np.hypot(d.real, d.imag) <= gap  # rounds as abs() does; np.abs may not
-    admissible = [
-        [j for j in np.flatnonzero(row).tolist() if fb[j][1] == weyr]
-        for row, (_, weyr) in zip(near, fa)
-    ]
+    admissible: list[list[int]] = [[] for _ in fa]
+    for i, j in zip(*(k.tolist() for k in np.nonzero(near))):  # row by row, j ascending
+        if fa[i][1] == fb[j][1]:
+            admissible[i].append(j)
     owner: dict[int, int] = {}  # cluster of fb -> its partner in fa
     partner: dict[int, int] = {}  # cluster of fa -> its partner in fb
     for start in range(len(fa)):

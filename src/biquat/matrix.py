@@ -21,6 +21,15 @@ because the block representation of a zero-divisor-laden matrix can have
 odd rank.  Inversion pays for one LU factorization: an inverse whose norm
 certifies a condition number well inside the rank rule is accepted as it
 stands, and only a doubtful one is ranked by SVD.
+
+Components are checked for finiteness once per value: where a matrix enters
+(the constructor, :meth:`BqMatrix.from_block_repr`,
+:meth:`BqMatrix.from_interleaved_repr`) and where one is formed by a step
+that can overflow (sums, products, the block and interleaved
+representations, the lifted inverse and pseudoinverse).  A matrix the
+library builds from checked values by steps that cannot overflow (negation,
+transposes, columns, lifted Schur vectors) is adopted as it is, without a
+copy or a second check.
 """
 
 from __future__ import annotations
@@ -89,21 +98,18 @@ class BqMatrix:
             raise DimensionError(
                 f"expected component array of shape (4, m, n), got {c.shape}"
             )
-        self._adopt(c)
+        c.setflags(write=False)
+        self._c = _finite(c)
 
     @classmethod
     def _wrap(cls, c: np.ndarray) -> "BqMatrix":
-        """Adopt, without a copy, a complex ``(4, m, n)`` array that the
-        library has just built and that nothing else refers to."""
-        out = object.__new__(cls)
-        out._adopt(c)
-        return out
-
-    def _adopt(self, c: np.ndarray) -> None:
-        if not np.all(np.isfinite(c)):
-            raise ValueError("matrix contains non-finite components")
+        """Adopt, without a copy or a check, a finite complex ``(4, m, n)``
+        array that the library has just built and that nothing else refers
+        to; a caller whose arithmetic can overflow checks it first."""
         c.setflags(write=False)
-        object.__setattr__(self, "_c", c)
+        out = object.__new__(cls)
+        out._c = c
+        return out
 
     # -- constructors --------------------------------------------------------
 
@@ -166,7 +172,7 @@ class BqMatrix:
         return self._c.shape[2]
 
     def entry(self, i: int, j: int) -> Biquaternion:
-        return Biquaternion(*self._c[:, i, j])
+        return Biquaternion(*self._c[:, i, j].tolist())
 
     def __getitem__(self, key):
         if isinstance(key, tuple) and len(key) == 2:
@@ -185,12 +191,7 @@ class BqMatrix:
     def _columns(self) -> list["BqMatrix"]:
         """Every column as an n x 1 matrix viewing this one's read-only,
         already checked components: no copy and no second check."""
-        out = []
-        for j in range(self.cols):
-            col = object.__new__(BqMatrix)
-            object.__setattr__(col, "_c", self._c[:, :, j : j + 1])
-            out.append(col)
-        return out
+        return [BqMatrix._wrap(self._c[:, :, j : j + 1]) for j in range(self.cols)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BqMatrix):
@@ -198,7 +199,8 @@ class BqMatrix:
         return self.shape == other.shape and bool(np.array_equal(self._c, other._c))
 
     def __hash__(self):
-        return hash((self.shape, self._c.tobytes()))
+        # By value, as __eq__ compares: + 0.0 turns -0.0 into 0.0.
+        return hash((self.shape, (self._c + 0.0).tobytes()))
 
     def allclose(self, other: "BqMatrix", tol: float = clinalg.DEFAULT_TOL) -> bool:
         """Componentwise equality within ``tol`` times the larger norm."""
@@ -226,11 +228,11 @@ class BqMatrix:
 
     def __add__(self, other: "BqMatrix") -> "BqMatrix":
         self._check_same_shape(other)
-        return BqMatrix._wrap(self._c + other._c)
+        return BqMatrix._wrap(_finite(self._c + other._c))
 
     def __sub__(self, other: "BqMatrix") -> "BqMatrix":
         self._check_same_shape(other)
-        return BqMatrix._wrap(self._c - other._c)
+        return BqMatrix._wrap(_finite(self._c - other._c))
 
     def __neg__(self) -> "BqMatrix":
         return BqMatrix._wrap(-self._c)
@@ -242,7 +244,7 @@ class BqMatrix:
             raise DimensionError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        return BqMatrix._wrap(np.stack(product(self._c, other._c, np.matmul)))
+        return BqMatrix._wrap(_finite(np.array(product(self._c, other._c, np.matmul))))
 
     def __mul__(self, scalar) -> "BqMatrix":
         """Right scalar multiple ``A * lam`` (order matters for non-central
@@ -251,13 +253,13 @@ class BqMatrix:
             raise TypeError("use @ for matrix products")
         lam = _as_bq(scalar)
         s = np.asarray(lam.components, dtype=complex).reshape(4, 1, 1)
-        return BqMatrix._wrap(np.stack(product(self._c, s, np.multiply)))
+        return BqMatrix._wrap(_finite(np.array(product(self._c, s, np.multiply))))
 
     def __rmul__(self, scalar) -> "BqMatrix":
         """Left scalar multiple ``lam * A``."""
         lam = _as_bq(scalar)
         s = np.asarray(lam.components, dtype=complex).reshape(4, 1, 1)
-        return BqMatrix._wrap(np.stack(product(s, self._c, np.multiply)))
+        return BqMatrix._wrap(_finite(np.array(product(s, self._c, np.multiply))))
 
     def _check_same_shape(self, other: "BqMatrix"):
         if not isinstance(other, BqMatrix):
@@ -270,47 +272,50 @@ class BqMatrix:
     def dual(self) -> "BqMatrix":
         """Transpose with the e-part of every entry negated."""
         t = self._c.transpose(0, 2, 1)
-        return BqMatrix._wrap(np.stack([t[0], -t[1], -t[2], -t[3]]))
+        return BqMatrix._wrap(np.array([t[0], -t[1], -t[2], -t[3]]))
 
     def hconj(self) -> "BqMatrix":
         """Hermitian conjugate: transpose with entrywise Hermitian conjugation."""
         t = self._c.transpose(0, 2, 1).conj()
-        return BqMatrix._wrap(np.stack([t[0], -t[1], -t[2], -t[3]]))
+        return BqMatrix._wrap(np.array([t[0], -t[1], -t[2], -t[3]]))
 
     # -- complex representations ---------------------------------------------------
 
     def block_repr(self) -> np.ndarray:
-        """The 2m x 2n block complex representation."""
+        """The 2m x 2n block complex representation.
+
+        Raises:
+            OverflowError: if a cell ``c0 +/- i*c1`` or ``c2 +/- i*c3`` lies
+                beyond the float range.
+        """
         m, n = self.shape
         out = np.empty((2 * m, 2 * n), dtype=complex)
         out[:m, :n], out[:m, n:], out[m:, :n], out[m:, n:] = image(self._c)
-        return out
+        return clinalg.within_range(out, "the block representation")
 
     @classmethod
     def from_block_repr(cls, m) -> "BqMatrix":
         """Unique preimage of a 2m x 2n complex matrix under ``block_repr``."""
-        m = clinalg.as_cmatrix(m)
-        if m.shape[0] % 2 or m.shape[1] % 2:
-            raise DimensionError(f"block representation must have even dims, got {m.shape}")
-        hm, hn = m.shape[0] // 2, m.shape[1] // 2
-        return cls._wrap(np.stack(preimage(m[:hm, :hn], m[:hm, hn:], m[hm:, :hn], m[hm:, hn:])))
+        return cls._wrap(_finite(_preimage(_even(m, "block"))))
 
     def interleaved_repr(self) -> np.ndarray:
         """The 2m x 2n representation whose (i, j) 2x2 block is the complex
-        image of entry (i, j)."""
+        image of entry (i, j).
+
+        Raises:
+            OverflowError: as :meth:`block_repr`, whose cells it holds.
+        """
         m, n = self.shape
         out = np.zeros((2 * m, 2 * n), dtype=complex)
         out[0::2, 0::2], out[0::2, 1::2], out[1::2, 0::2], out[1::2, 1::2] = image(self._c)
-        return out
+        return clinalg.within_range(out, "the interleaved representation")
 
     @classmethod
     def from_interleaved_repr(cls, m) -> "BqMatrix":
         """Unique preimage of a 2m x 2n complex matrix under
         ``interleaved_repr``."""
-        m = clinalg.as_cmatrix(m)
-        if m.shape[0] % 2 or m.shape[1] % 2:
-            raise DimensionError(f"interleaved representation must have even dims, got {m.shape}")
-        return cls._wrap(np.stack(preimage(m[0::2, 0::2], m[0::2, 1::2], m[1::2, 0::2], m[1::2, 1::2])))
+        m = _even(m, "interleaved")
+        return cls._wrap(_finite(np.array(preimage(m[0::2, 0::2], m[0::2, 1::2], m[1::2, 0::2], m[1::2, 1::2]))))
 
     # -- lowered computations ----------------------------------------------------------
 
@@ -335,7 +340,7 @@ class BqMatrix:
             inv = None
         certified = (
             inv is not None
-            and np.all(np.isfinite(inv))
+            and np.isfinite(inv).all()
             and clinalg.matrix_scale(rep) * clinalg.matrix_scale(inv) <= 0.1 / clinalg.DEFAULT_TOL
         )
         if not certified:
@@ -343,13 +348,19 @@ class BqMatrix:
                 raise NotInvertibleError("matrix is singular over the biquaternions")
             if inv is None:
                 inv = np.linalg.inv(rep)  # an exact zero pivot the rank rule misses: LinAlgError
-        return BqMatrix.from_block_repr(clinalg.within_range(inv, "the inverse"))
+            clinalg.within_range(inv, "the inverse")  # before the lift's sums meet an inf
+        return BqMatrix._wrap(clinalg.within_range(_preimage(inv), "the inverse"))
 
     def pinv(self) -> "BqMatrix":
         """Moore-Penrose inverse: unique solution of the four Penrose
         equations over the algebra; its block representation equals the
-        complex pseudoinverse of this matrix's block representation."""
-        return BqMatrix.from_block_repr(clinalg.pinv(self.block_repr()))
+        complex pseudoinverse of this matrix's block representation.
+
+        Raises:
+            OverflowError: if the pseudoinverse lies beyond the float range.
+        """
+        p = clinalg.pinv(self.block_repr())
+        return BqMatrix._wrap(clinalg.within_range(_preimage(p), "the pseudoinverse"))
 
     def rank(self) -> HalfRank:
         """Half of the block representation's numerical rank, kept exact."""
@@ -369,6 +380,30 @@ class BqMatrix:
         return self.rows
 
 
+def _finite(c: np.ndarray) -> np.ndarray:
+    """``c``, the components of a matrix being built, if all of them are
+    finite: the one check of each matrix value."""
+    if not np.isfinite(c).all():
+        raise ValueError("matrix contains non-finite components")
+    return c
+
+
+def _even(m, name: str) -> np.ndarray:
+    # A 2m x 2n complex matrix, unchecked: a non-finite cell gives a
+    # non-finite component, which the lifted matrix's check rejects.
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
+        raise DimensionError(f"{name} representation must be 2-D with even dims, got {m.shape}")
+    return m
+
+
+def _preimage(m: np.ndarray) -> np.ndarray:
+    """The components of the matrix whose block representation is ``m``,
+    unchecked: where that can overflow, the caller checks them."""
+    hm, hn = m.shape[0] // 2, m.shape[1] // 2
+    return np.array(preimage(m[:hm, :hn], m[:hm, hn:], m[hm:, :hn], m[hm:, hn:]))
+
+
 def _as_bq(value) -> Biquaternion:
     if isinstance(value, Biquaternion):
         return value
@@ -379,7 +414,7 @@ def _norm(c: np.ndarray, axis=None, weight: int = 1) -> np.ndarray:
     """``sqrt(weight * sum |c|**2)`` over ``axis`` (all of it by default), rescaled
     as :func:`clinalg.matrix_scale` where the squares leave the float range."""
     with np.errstate(over="ignore"):
-        out = np.sqrt(weight * np.sum(np.abs(c) ** 2, axis=axis))
+        out = np.sqrt(weight * (np.abs(c) ** 2).sum(axis=axis))
     if 2.0**-480 < out.min(initial=np.inf) and out.max(initial=0.0) < np.inf:
         return out
     unit = clinalg.squaring_unit(np.abs(c).max(axis=axis, keepdims=True, initial=0.0))

@@ -19,6 +19,13 @@ compare against, and the eigenvector lift of :mod:`spectral`.
 The image of an element is the block representation of its 1x1 matrix, so
 each tolerance decision here applies the matrix layer's rule for the same
 question (rank, full kernel, eigenvalue clustering; see :mod:`clinalg`) to it.
+
+A :class:`Biquaternion` holds four plain Python ``complex`` components, and
+its arithmetic is plain ``complex`` arithmetic through the same tables; numpy
+enters only where a decision needs the 2x2 image (rank, pseudoinverse,
+similarity witness).  Every element, whether given or computed, is built by
+its constructor, which checks once that its components are finite: an
+operation whose result leaves the float range raises there.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ import enum
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +60,8 @@ def image(c):
     block representation).
     """
     c0, c1, c2, c3 = c
-    return c0 + 1j * c1, -(c2 + 1j * c3), c2 - 1j * c3, c0 - 1j * c1
+    i1, i3 = 1j * c1, 1j * c3
+    return c0 + i1, -(c2 + i3), c2 - i3, c0 - i1
 
 
 def preimage(m11, m12, m21, m22):
@@ -95,34 +102,58 @@ class ScalarFlags(NamedTuple):
     hermitian: bool
 
 
-@dataclass(frozen=True)
+def _component(k: int) -> property:
+    return property(lambda self: self.components[k], doc=f"Component ``a{k}``, a Python ``complex``.")
+
+
 class Biquaternion:
-    """One complex quaternion, immutable, with exact componentwise equality."""
+    """One complex quaternion: an immutable value of four plain Python
+    ``complex`` components, equal (and hashed) exactly by them.
 
-    a0: complex = 0
-    a1: complex = 0
-    a2: complex = 0
-    a3: complex = 0
+    Every element, given or computed, is built by ``__init__``, which checks
+    its components once: a component that is not finite raises ValueError.
+    Arithmetic works on the components as plain ``complex`` numbers.
+    """
 
-    def __post_init__(self):
-        for name in ("a0", "a1", "a2", "a3"):
-            z = complex(getattr(self, name))
-            if not cmath.isfinite(z):
-                raise ValueError(f"component {name} is not finite: {z!r}")
-            object.__setattr__(self, name, z)
+    __slots__ = ("components",)
+
+    def __init__(self, a0: complex = 0, a1: complex = 0, a2: complex = 0, a3: complex = 0):
+        c = (complex(a0), complex(a1), complex(a2), complex(a3))
+        if not (cmath.isfinite(c[0]) and cmath.isfinite(c[1]) and cmath.isfinite(c[2]) and cmath.isfinite(c[3])):
+            k = next(k for k, z in enumerate(c) if not cmath.isfinite(z))
+            raise ValueError(f"component a{k} is not finite: {c[k]!r}")
+        object.__setattr__(self, "components", c)
+
+    a0, a1, a2, a3 = map(_component, range(4))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Biquaternion is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Biquaternion is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self.components)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash(self.components)  # hash(-0.0) == hash(0.0), as equality needs
+
+    def __repr__(self) -> str:
+        return "Biquaternion(a0=%r, a1=%r, a2=%r, a3=%r)" % self.components
 
     # -- basic structure ---------------------------------------------------
-
-    @property
-    def components(self) -> tuple[complex, complex, complex, complex]:
-        return (self.a0, self.a1, self.a2, self.a3)
 
     def _scaled(self) -> tuple[tuple[complex, ...], float]:
         """The components times ``unit``, the exact power of two that brings
         the largest real or imaginary part into [0.5, 1), and ``unit``: their
         squares can neither overflow nor underflow, and every ratio is
         unchanged."""
-        a0, a1, a2, a3 = self.a0, self.a1, self.a2, self.a3
+        a0, a1, a2, a3 = self.components
         # Parts, not moduli: abs() of a component overflows past 1.8e308.
         top = max(map(abs, (a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag, a3.real, a3.imag)))
         # Capped so that unit itself stays finite for subnormal components.
@@ -138,49 +169,51 @@ class Biquaternion:
     def is_complex(self) -> bool:
         """True when ``|e-part| <= DEFAULT_TOL * |a|``: the image minus ``a0*I``
         is negligible, the full-kernel rule of :func:`clinalg.jordan_fingerprint`."""
-        (a0, a1, a2, a3), _ = self._scaled()
-        vec = abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2
-        return vec <= clinalg.DEFAULT_TOL**2 * (abs(a0) ** 2 + vec)
+        return _is_central(self._scaled()[0])
 
     def __bool__(self) -> bool:
-        return any(c != 0 for c in self.components)
+        return any(self.components)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Biquaternion":
-        other = _coerce(other)
-        if other is NotImplemented:
+        b = _components(other)
+        if b is NotImplemented:
             return NotImplemented
-        return Biquaternion(*(x + y for x, y in zip(self.components, other.components)))
+        a0, a1, a2, a3 = self.components
+        return Biquaternion(a0 + b[0], a1 + b[1], a2 + b[2], a3 + b[3])
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Biquaternion":
-        other = _coerce(other)
-        if other is NotImplemented:
+        b = _components(other)
+        if b is NotImplemented:
             return NotImplemented
-        return Biquaternion(*(x - y for x, y in zip(self.components, other.components)))
+        a0, a1, a2, a3 = self.components
+        return Biquaternion(a0 - b[0], a1 - b[1], a2 - b[2], a3 - b[3])
 
     def __rsub__(self, other) -> "Biquaternion":
-        other = _coerce(other)
-        if other is NotImplemented:
+        b = _components(other)
+        if b is NotImplemented:
             return NotImplemented
-        return other - self
+        a0, a1, a2, a3 = self.components
+        return Biquaternion(b[0] - a0, b[1] - a1, b[2] - a2, b[3] - a3)
 
     def __neg__(self) -> "Biquaternion":
-        return Biquaternion(-self.a0, -self.a1, -self.a2, -self.a3)
+        a0, a1, a2, a3 = self.components
+        return Biquaternion(-a0, -a1, -a2, -a3)
 
     def __mul__(self, other) -> "Biquaternion":
-        other = _coerce(other)
-        if other is NotImplemented:
+        b = _components(other)
+        if b is NotImplemented:
             return NotImplemented
-        return Biquaternion(*product(self.components, other.components, operator.mul))
+        return Biquaternion(*product(self.components, b, operator.mul))
 
     def __rmul__(self, other) -> "Biquaternion":
-        other = _coerce(other)
-        if other is NotImplemented:
+        b = _components(other)
+        if b is NotImplemented:
             return NotImplemented
-        return other * self
+        return Biquaternion(*product(b, self.components, operator.mul))
 
     def __truediv__(self, other) -> "Biquaternion":
         # Division only by central (complex) scalars; for general elements
@@ -193,15 +226,18 @@ class Biquaternion:
 
     def dual(self) -> "Biquaternion":
         """Negate the e-part."""
-        return Biquaternion(self.a0, -self.a1, -self.a2, -self.a3)
+        a0, a1, a2, a3 = self.components
+        return Biquaternion(a0, -a1, -a2, -a3)
 
     def cconj(self) -> "Biquaternion":
         """Conjugate each complex component."""
-        return Biquaternion(*(c.conjugate() for c in self.components))
+        a0, a1, a2, a3 = self.components
+        return Biquaternion(a0.conjugate(), a1.conjugate(), a2.conjugate(), a3.conjugate())
 
     def hconj(self) -> "Biquaternion":
         """Hermitian conjugate: dual followed by componentwise conjugation."""
-        return self.dual().cconj()
+        a0, a1, a2, a3 = self.components
+        return Biquaternion(a0.conjugate(), (-a1).conjugate(), (-a2).conjugate(), (-a3).conjugate())
 
     def weak_norm(self) -> complex:
         """The complex quadratic form ``a0**2 + a1**2 + a2**2 + a3**2``.
@@ -226,13 +262,17 @@ class Biquaternion:
             OverflowError: if the inverse lies beyond the float range.
         """
         comps, unit = self._scaled()
-        b = Biquaternion(*comps)
-        wn = b.weak_norm()
+        wn = sum(c * c for c in comps)
         certified = wn != 0 and 2 * sum(abs(c) ** 2 for c in comps) <= 0.1 / clinalg.DEFAULT_TOL * abs(wn)
-        if not certified and clinalg.rank(self.as_complex_matrix()) < 2:
+        # The rank rule on the scaled image, whose cells cannot overflow.
+        if not certified and clinalg.rank(Biquaternion(*comps).as_complex_matrix()) < 2:
             raise NotInvertibleError("the image has rank below 2; element is not invertible")
+        b0, b1, b2, b3 = comps
+        # The product table against the central (unit / wn), zeros included,
+        # which fixes the signs of zero components.
+        dual_over_norm = product((b0, -b1, -b2, -b3), (unit / wn, 0j, 0j, 0j), operator.mul)
         try:
-            return b.dual() * (unit / wn)
+            return Biquaternion(*dual_over_norm)
         except ValueError as exc:  # raised here only for non-finite components
             raise OverflowError("the inverse exceeds the float range") from exc
 
@@ -240,14 +280,20 @@ class Biquaternion:
 
     def as_complex_matrix(self) -> np.ndarray:
         """Faithful 2x2 complex image ``[[a0+a1*i, -(a2+a3*i)], [a2-a3*i, a0-a1*i]]``
-        (:func:`image`)."""
+        (:func:`image`).
+
+        Raises:
+            OverflowError: if a cell lies beyond the float range.
+        """
         m11, m12, m21, m22 = image(self.components)
-        return np.array([[m11, m12], [m21, m22]])
+        return clinalg.within_range(np.array([[m11, m12], [m21, m22]]), "the image")
 
     @classmethod
     def from_complex_matrix(cls, m) -> "Biquaternion":
-        """Inverse of :meth:`as_complex_matrix`; accepts any 2x2 complex matrix."""
-        m = clinalg.as_cmatrix(m)
+        """Inverse of :meth:`as_complex_matrix`; accepts any 2x2 complex matrix.
+        A non-finite cell gives a non-finite component, so the constructor's
+        check rejects it."""
+        m = np.asarray(m, dtype=complex)
         if m.shape != (2, 2):
             raise DimensionError(f"expected a 2x2 matrix, got {m.shape}")
         return cls(*preimage(m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
@@ -274,9 +320,9 @@ class Biquaternion:
         Raises:
             OverflowError: if ``tau`` lies beyond the float range.
         """
-        if self.is_complex():
-            return self, CanonicalCase.COMPLEX
         comps, unit = self._scaled()
+        if _is_central(comps):
+            return self, CanonicalCase.COMPLEX
         _, a1, a2, a3 = comps
         tau_sq = a1**2 + a2**2 + a3**2
         scaled_norm = math.sqrt(sum(abs(c) ** 2 for c in comps))
@@ -304,6 +350,8 @@ class Biquaternion:
                 ``N = image - a0*I``: the rank rule ``clinalg.DEFAULT_TOL``
                 makes this raise once ``|N|`` passes ``1/DEFAULT_TOL`` or
                 ``DEFAULT_TOL`` (``1e10`` or ``1e-10``).
+            OverflowError: if the image or the witness lies beyond the float
+                range.
         """
         form, case = self.canonical_form()
         if case is CanonicalCase.COMPLEX or self == form:
@@ -313,7 +361,7 @@ class Biquaternion:
             s = self._null_reduction(m)
         else:
             s = self._generic_reduction(m, form)
-        if clinalg.rank(s) < 2:
+        if clinalg.rank(clinalg.within_range(s, "the witness")) < 2:
             raise DegenerateWitnessError("the constructed witness is a zero divisor")
         return Biquaternion.from_complex_matrix(s)
 
@@ -361,12 +409,21 @@ class Biquaternion:
         return format_biquaternion(self)
 
 
-def _coerce(value):
+def _components(value):
+    """The components of an element, or of a number taken as a central
+    element; NotImplemented for anything else."""
     if isinstance(value, Biquaternion):
-        return value
-    if isinstance(value, (int, float, complex, np.integer, np.floating, np.complexfloating)):
-        return Biquaternion(complex(value))
+        return value.components
+    if isinstance(value, (int, float, complex, np.number)):
+        return (complex(value), 0j, 0j, 0j)
     return NotImplemented
+
+
+def _is_central(comps) -> bool:
+    """The rule of :meth:`Biquaternion.is_complex`, on scaled components."""
+    a0, a1, a2, a3 = comps
+    vec = abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2
+    return vec <= clinalg.DEFAULT_TOL**2 * (abs(a0) ** 2 + vec)
 
 
 ONE = Biquaternion(1)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import clinalg
 from .errors import DimensionError, InvalidPairError
-from .matrix import BqMatrix, _norm
+from .matrix import BqMatrix, _norm, _preimage
 from .scalar import Biquaternion, CanonicalCase, image
 
 # Largest eigenpair residual, relative to |A|, that
@@ -77,7 +77,7 @@ def _lift_columns(y: np.ndarray) -> BqMatrix:
     # i*Y_low); a column is nonzero whenever its Y is.
     n = y.shape[0] // 2
     up, low = y[:n], y[n:]
-    return BqMatrix._wrap(np.stack([up, -1j * up, low, 1j * low]).reshape(4, n, y.shape[1]))
+    return BqMatrix._wrap(np.array([up, -1j * up, low, 1j * low]).reshape(4, n, y.shape[1]))
 
 
 def _pair_residual(rep: np.ndarray, x: BqMatrix, lam: Biquaternion) -> float:
@@ -105,8 +105,8 @@ def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
     r = rep @ bx - bx * np.concatenate([w, w])
     residuals = _norm(r.reshape(2 * n, 2, 2 * n), axis=(0, 1))
     return [
-        EigenPair(complex(lam), col, float(res))
-        for lam, col, res in zip(w, x._columns(), residuals)
+        EigenPair(lam, col, res)
+        for lam, col, res in zip(w.tolist(), x._columns(), residuals.tolist())
     ]
 
 
@@ -125,7 +125,7 @@ def regular_right_eigenpair(a: BqMatrix) -> RegularEigenPair:
         raise DimensionError("empty matrix has no eigenpairs")
     rep = a.block_repr()
     t, q = clinalg.schur(rep, vectors=True)
-    x = BqMatrix.from_block_repr(q[:, :2])
+    x = BqMatrix._wrap(_preimage(q[:, :2]))  # orthonormal columns: no overflow
     value = Biquaternion.from_complex_matrix(t[:2, :2])
     return RegularEigenPair(value, x, _pair_residual(rep, x, value))
 
@@ -164,8 +164,8 @@ def _structure(a: BqMatrix) -> tuple[tuple[tuple[complex, tuple[int, ...]], ...]
     :func:`similar` call has two, and the next verdict on either reuses its
     structure.  A raised error is not kept, so it is raised again.
     """
-    block = a.block_repr()
-    return tuple(clinalg.jordan_fingerprint(block)), clinalg.matrix_scale(block)
+    fingerprint = clinalg.jordan_fingerprint(a.block_repr())
+    return tuple(fingerprint), fingerprint.scale
 
 
 def similar(a: BqMatrix, b: BqMatrix) -> bool:

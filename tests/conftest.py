@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,29 @@ def split_cluster_matrix() -> BqMatrix:
         u = u @ (BqMatrix.identity(8) + BqMatrix(nil))
         u_inv = (BqMatrix.identity(8) - BqMatrix(nil)) @ u_inv
     return u @ BqMatrix.from_complex(j) @ u_inv
+
+
+# A finite document whose block representation has eigenvalues and a
+# Frobenius norm beyond the float range: clustering them once looped forever.
+OVERFLOWING_SPECTRUM = '{"rows": 1, "cols": 1, "entries": [[[1, 3], [1e155, 1.7e308], [0, 1e-200], [0, 1.7e308]]]}'
+
+
+@contextmanager
+def time_bound(seconds: int):
+    """Fail a block that has not ended within ``seconds`` (by SIGALRM)."""
+    if not hasattr(signal, "SIGALRM"):
+        pytest.skip("needs SIGALRM")
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

@@ -8,8 +8,8 @@ import pytest
 
 import biquat
 from biquat import E1, E2, Biquaternion, BqMatrix, clinalg, io, sampling
-from biquat.cli import main
-from conftest import merged_cluster_matrix, split_cluster_matrix
+from biquat.cli import CLOSED_STDOUT, main
+from conftest import OVERFLOWING_SPECTRUM, merged_cluster_matrix, split_cluster_matrix, time_bound
 
 
 @pytest.fixture
@@ -265,6 +265,69 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, verb, *paths)
         assert code == 3 and not out
         assert err.startswith(f"error: numerical: {verb}: first nullity")
+
+    @pytest.mark.parametrize("verb, documents", [("diagonalizable", 1), ("similar", 2)])
+    def test_overflowing_spectrum_is_numerical(self, capsys, tmp_path, verb, documents):
+        path = tmp_path / "spectrum.json"
+        path.write_text(OVERFLOWING_SPECTRUM)
+        with time_bound(20):
+            code, out, err = run_cli(capsys, verb, *[str(path)] * documents)
+        assert code == 3 and not out
+        assert err.startswith(f"error: numerical: {verb}:") and "float range" in err
+
+    @pytest.mark.parametrize("verb", ["rank", "repr", "inv", "eig"])
+    def test_overflowing_block_is_numerical(self, capsys, tmp_path, verb):
+        # a zero divisor with a0 = 1e308, a1 = 1e308 i: the document parses,
+        # but the block cell a0 - i*a1 = 2e308 does not exist
+        path = tmp_path / "zero-divisor.json"
+        path.write_text('{"rows": 1, "cols": 1, "entries": [[[1e308, 0], [0, 1e308], [0, 0], [0, 0]]]}')
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(capsys, verb, str(path))
+        assert code == 3 and not out
+        assert err == f"error: numerical: {verb}: the block representation exceeds the float range\n"
+
+    def test_io_error_outside_loading_is_not_a_parse_error(self, write_doc, monkeypatch):
+        class Stalled:
+            def write(self, text):
+                raise TimeoutError("output stalled")
+
+            def flush(self):
+                pass
+
+        path = write_doc(single(E1))
+        monkeypatch.setattr("sys.stdout", Stalled())
+        with pytest.raises(TimeoutError):
+            main(["rank", path])
+
+
+class TestClosedStdout:
+    @staticmethod
+    def first_line_then_close(*argv):
+        src = os.path.dirname(os.path.dirname(biquat.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "biquat.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        return first.decode(), proc.wait(timeout=60), err
+
+    def test_reader_stopping_early_ends_quietly(self, write_doc, rng):
+        # the block of a 40 x 40 matrix prints about 200 kB, more than a pipe
+        # holds, so the write after the first line meets the closed pipe
+        first, code, err = self.first_line_then_close("repr", write_doc(sampling.unit_matrix(rng, 40, 40)))
+        assert first and code == CLOSED_STDOUT
+        assert err == ""
+
+    def test_similar_read_by_head(self, write_doc):
+        path = write_doc(single(Biquaternion(1, 1j)))
+        first, code, err = self.first_line_then_close("similar", path, path)
+        assert first == "similar\n" and code in (0, CLOSED_STDOUT)
+        assert "parse" not in err and err == ""
 
 
 class TestStartup:

@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from biquat import clinalg
+from biquat import clinalg, io
 from biquat.errors import ConvergenceError, DimensionError
-from conftest import merged_cluster_matrix, split_cluster_matrix
+from conftest import OVERFLOWING_SPECTRUM, merged_cluster_matrix, split_cluster_matrix, time_bound
 
 I2 = np.eye(2)
 PAULI1 = np.array([[1j, 0], [0, -1j]])
@@ -329,6 +331,20 @@ class TestJordanFingerprint:
         assert three[1] == (2, 3) and five[1] == (1,)
         assert abs(three[0] - 3) <= 1e-14 and abs(five[0] - 5) <= 1e-14
 
+    def test_overflowing_spectrum_is_refused(self):
+        # a finite block whose eigenvalues and Frobenius norm exceed the float
+        # range: the gap would be inf and every cluster one
+        block = io.loads(OVERFLOWING_SPECTRUM).block_repr()
+        assert np.isfinite(block).all()
+        with time_bound(10), pytest.raises(OverflowError):
+            clinalg.jordan_fingerprint(block)
+        with pytest.raises(OverflowError, match="eigenvalue"):
+            clinalg.eigvals(block)
+
+    def test_scale_is_the_frobenius_norm(self, rng):
+        for a in (random_cmatrix(rng, 5, 5), np.diag([3.0, 3.0, 5.0]), np.zeros((0, 0))):
+            assert clinalg.jordan_fingerprint(a).scale == clinalg.matrix_scale(a)
+
     @pytest.mark.parametrize(
         "matrix, message",
         [(split_cluster_matrix, "first nullity of \\(0,\\) is 0"), (merged_cluster_matrix, "steps of \\(2, 6, 8\\) grow")],
@@ -387,6 +403,40 @@ class TestClusterEigenvalues:
 
     def test_empty(self):
         assert clinalg.cluster_eigenvalues(np.zeros(0), 1.0) == []
+
+    @pytest.mark.parametrize("k", [2, 3, 17, 40])
+    def test_chain_spaced_at_the_gap_is_one_cluster(self, k):
+        # index 0 at one end of the chain and index 1 at the other: label 0
+        # travels one link a pass, so it needs k - 1 passes to reach index 1
+        order = [0, *range(k - 1, 0, -1)]
+        w = np.array(order) * 0.5 + 0j
+        with time_bound(10):
+            clusters = clinalg.cluster_eigenvalues(w, 0.5)
+        assert [idx.tolist() for idx in clusters] == [list(range(k))]
+
+    def test_non_finite_eigenvalues_end(self):
+        # inf <= inf joins every pair while nan <= inf fails on the diagonal:
+        # the labels used to swap forever
+        for w in ([np.inf, -np.inf], [np.inf, -np.inf, 1.0, np.nan]):
+            with time_bound(10), np.errstate(invalid="ignore"):
+                clusters = clinalg.cluster_eigenvalues(np.array(w, dtype=complex), np.inf)
+            assert sorted(i for idx in clusters for i in idx.tolist()) == list(range(len(w)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=14),
+        spacing=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    )
+    @example(points=[(0, 0), (0, 0)], spacing=3.0)  # an exact tie among singletons
+    @example(points=[(0, 0), (1, 0), (2, 0), (-1, 0)], spacing=1.0)  # a chain at the gap
+    @example(points=[(0, 0), (1, 1)], spacing=1.0)  # a diagonal pair just past it
+    def test_singletons_shortcut_agrees_with_single_linkage(self, points, spacing):
+        # Lattice points ``spacing`` apart, with gap 1: at 2 and 3 nearly
+        # every cluster is a singleton and the shortcut decides; at 1 the
+        # neighbours lie exactly at the gap; at 0.5 they chain.
+        w = np.array([complex(a, b) * spacing for a, b in points])
+        got = [idx.tolist() for idx in clinalg.cluster_eigenvalues(w, 1.0)]
+        assert got == union_find_clusters(w, 1.0)
 
 
 class TestFingerprintsMatch:

@@ -42,6 +42,14 @@ class TestConstruction:
         assert a.entry(0, 1) == E2
         assert a.entry(1, 1) == Biquaternion(2 + 1j)
 
+    def test_hash_agrees_with_equality_on_signed_zeros(self):
+        a, b = BqMatrix.from_entries([[0.0]]), BqMatrix.from_entries([[-0.0]])
+        c = BqMatrix(np.array([[[complex(0.0, -0.0), 1.0]], [[-0.0, 2j]], [[0j, 0j]], [[-0.0, 0j]]]))
+        d = BqMatrix(np.array([[[0j, 1.0]], [[0j, 2j]], [[0j, 0j]], [[0j, 0j]]]))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert c == d and hash(c) == hash(d) and len({c, d}) == 1
+        assert len({a, BqMatrix.from_entries([[1e-300]])}) == 2
+
     def test_ragged_rejected(self):
         with pytest.raises(DimensionError):
             BqMatrix.from_entries([[ONE], [ONE, E1]])

@@ -1,3 +1,7 @@
+import copy
+import pickle
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -514,3 +518,65 @@ class TestValueSemantics:
 
     def test_division_by_complex(self):
         assert (2 * E1) / 2 == E1
+
+    def test_immutable(self):
+        a = Biquaternion(1, 2j)
+        for name in ("a0", "components", "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 5)
+        with pytest.raises(AttributeError):
+            del a.a1
+        assert a.components == (1 + 0j, 2j, 0j, 0j)
+
+    def test_equal_and_hashed_by_components(self):
+        zero, negative_zero = Biquaternion(0.0), Biquaternion(-0.0, complex(0.0, -0.0))
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        assert len({zero, negative_zero}) == 1
+        assert Biquaternion(1, 2j) != Biquaternion(1, 2j, 1e-300)
+        assert Biquaternion(1) != 1  # a value of its own type, not a number
+
+    def test_components_are_plain_complex(self):
+        a = Biquaternion(np.complex128(1 + 2j), np.float64(3), 4, True)
+        assert all(type(c) is complex for c in a.components)
+        assert a.a0 == 1 + 2j and a.a3 == 1 and a.components == (a.a0, a.a1, a.a2, a.a3)
+
+    def test_repr_is_stable(self):
+        a = Biquaternion(1, 2j, -0.0, complex(1e-300, -0.0))
+        assert repr(a) == "Biquaternion(a0=(1+0j), a1=2j, a2=(-0+0j), a3=(1e-300-0j))"
+        assert repr(Biquaternion()) == "Biquaternion(a0=0j, a1=0j, a2=0j, a3=0j)"
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a)), lambda a: pickle.loads(pickle.dumps(a, 0))],
+        ids=["copy", "deepcopy", "pickle", "pickle-0"],
+    )
+    def test_round_trips(self, clone):
+        a = Biquaternion(-0.0, 1e-310j, complex(2.5, -0.0), 1.7e308)
+        b = clone(a)
+        assert type(b) is Biquaternion and b == a
+        bits = [struct.pack("dd", c.real, c.imag) for c in a.components]
+        assert [struct.pack("dd", c.real, c.imag) for c in b.components] == bits  # signed zeros too
+
+    def test_every_result_is_built_by_init(self, monkeypatch):
+        # the one check of a scalar, and what a tracer of __init__ counts
+        built = []
+        init = Biquaternion.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Biquaternion, "__init__", counted)
+        a = BqMatrix.from_complex([[2.0]]).entry(0, 0) + E1  # entry, then the sum
+        for make in (lambda: a * E2, lambda: 2 * a, lambda: a - 1, lambda: -a, lambda: a.inverse(),
+                     lambda: a.canonical_form()[0], lambda: a.hconj(), lambda: copy.copy(a)):
+            before = len(built)
+            make()
+            assert len(built) == before + 1
+
+    def test_overflowing_result_is_rejected(self):
+        big = Biquaternion(1e308)
+        with pytest.raises(ValueError, match="a0 is not finite"):
+            big * 10
+        with pytest.raises(ValueError, match="a0 is not finite"):
+            big + big

@@ -495,6 +495,11 @@ class TestStructureReuse:
         diagonalizable(x)  # y and z displaced x
         assert len(computed) == 4
 
+    def test_signed_zeros_share_one_structure(self, computed):
+        a, b = BqMatrix.from_entries([[0.0]]), BqMatrix.from_entries([[-0.0]])
+        assert similar(a, b)
+        assert len(computed) == 1
+
     def test_errors_are_not_kept(self, computed):
         x = split_cluster_matrix()
         for _ in range(2):
