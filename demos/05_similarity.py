@@ -28,7 +28,7 @@ print("\nrandom A vs its conjugate X^-1 A X:", similar(A, B))
 print("random A vs A + I (shifted spectrum):", similar(A, A + BqMatrix.identity(3)))
 
 print("\nJordan fingerprint of the block representation of A:")
-for lam, weyr in clinalg.jordan_fingerprint(A.block_repr()):
+for lam, weyr in clinalg.jordan_fingerprint(A.block_repr()).clusters:
     print(f"  eigenvalue {lam:+.4f}: Weyr sequence {weyr}")
 
 print("\n-- diagonalizability over the algebra -----------------------------")

@@ -6,9 +6,10 @@ with 17 significant digits, enough for a bit-exact double round trip.
 
 Exit codes: 0 success, 1 input error (a document that cannot be read or
 parsed), 2 dimension error, 3 numerical failure (singular input,
-non-convergence, overflow, failed verification).  Overflow includes a value
+non-convergence, overflow, failed verification), 4 output error (standard
+output cannot be written, as on a full device).  Overflow includes a value
 that a finite document leads out of the float range: a block representation
-cell, an eigenvalue or the matrix scale of the Jordan fingerprint, a Schur
+cell, an eigenvalue or the matrix scale of the Jordan structure, a Schur
 form or an answer.  A closed standard output (the reader stopped early, as
 ``head`` does) ends the command quietly with 141, the status of a process
 that a closed pipe ends; what the reader took is unchanged.
@@ -31,8 +32,8 @@ from .errors import BiquatError, DimensionError
 from .matrix import BqMatrix
 from .scalar import format_biquaternion, format_complex, parse_biquaternion
 from .spectral import (
-    _structure,
     diagonalizable,
+    jordan_structure,
     regular_right_eigenpair,
     right_eigenpairs,
     similar,
@@ -41,6 +42,7 @@ from .spectral import (
 from .verify import verify_suite
 
 DIGITS = 17
+OUTPUT_ERROR = 4
 CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process a closed pipe ended
 
 
@@ -133,9 +135,9 @@ def cmd_canonical(args) -> int:
 def _print_fingerprint(label: str, a: BqMatrix) -> None:
     # Jordan structure is decided by tolerance clustering; printing it lets
     # users audit borderline verdicts near multiple eigenvalues.  The verdict
-    # has just computed it, so _structure returns it without recomputing.
+    # has just read it, so jordan_structure returns that value unchanged.
     print(f"fingerprint {label}:")
-    for lam, weyr in _structure(a)[0]:
+    for lam, weyr in jordan_structure(a).clusters:
         print(f"  eigenvalue {format_complex(lam, DIGITS)}  weyr {','.join(map(str, weyr))}")
 
 
@@ -222,14 +224,17 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
-    except BrokenPipeError:
+    except OSError as exc:  # writing: _load turns a failed read into ValueError
         # Point stdout at the null device, so that the flush at exit cannot
         # fail again and print a traceback.
         try:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        except (OSError, ValueError):  # a stdout without a descriptor
+        except (OSError, ValueError, AttributeError):  # a stdout without a descriptor
             pass
-        return CLOSED_STDOUT
+        if isinstance(exc, BrokenPipeError):
+            return CLOSED_STDOUT
+        print(f"error: output: {args.command}: {exc}", file=sys.stderr)
+        return OUTPUT_ERROR
     except DimensionError as exc:
         print(f"error: dimension: {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@ Every higher-level question about biquaternion matrices is lowered to one of
 the routines here (all operating on plain 2-D ``numpy`` arrays of
 ``complex128``): determinant, SVD-based rank and pseudoinverse,
 eigendecomposition, complex Schur form, characteristic polynomial, and the
-Jordan structure behind similarity (:func:`jordan_fingerprint`).
+Jordan structure behind similarity (:func:`jordan_fingerprint`, one frozen
+:class:`JordanStructure` per matrix).
 
 Factorizations are delegated to LAPACK through ``numpy.linalg`` (and
 ``zgees``/``ztrsen`` from ``scipy.linalg.lapack``, imported on first use);
@@ -26,6 +27,8 @@ turns into ``OverflowError``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -256,32 +259,36 @@ def schur(a, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     return within_range(t, "the Schur form"), (within_range(q, "the Schur vectors") if vectors else None)
 
 
-class Fingerprint(list):
-    """The result of :func:`jordan_fingerprint`: its list of ``(lam, weyr)``
-    clusters, with the matrix's Frobenius norm (:func:`matrix_scale`) as
-    ``scale``, so that a comparison of fingerprints needs no second norm."""
+@dataclass(frozen=True)
+class JordanStructure:
+    """The result of :func:`jordan_fingerprint`: its ``(lam, weyr)`` clusters,
+    each cluster's Jordan ``(block size, count)`` pairs, and the matrix's
+    Frobenius norm (:func:`matrix_scale`), so a comparison needs no second norm."""
 
-    __slots__ = ("scale",)
-
-    def __init__(self, clusters, scale: float):
-        super().__init__(clusters)
-        self.scale = scale
+    clusters: tuple[tuple[complex, tuple[int, ...]], ...]
+    blocks: tuple[tuple[tuple[int, int], ...], ...]
+    scale: float
 
 
-def jordan_fingerprint(a) -> Fingerprint:
-    """Eigenvalue clusters with their Weyr characteristics.
+_SIMPLE = ((1, 1),)  # the blocks of a simple eigenvalue
 
-    Returns ``[(lam, (nu_1, nu_2, ...)), ...]`` sorted by (real, imag) of
-    ``lam``, where ``nu_k`` is the nullity of ``(a - lam*I)**k``.  Two
-    matrices are similar exactly when their fingerprints match under
-    eigenvalue pairing within tolerance (see :func:`fingerprints_match`).
+
+def jordan_fingerprint(a) -> JordanStructure:
+    """Eigenvalue clusters with their Weyr characteristics and Jordan blocks.
+
+    The :class:`JordanStructure`'s clusters are ``((lam, (nu_1, nu_2, ...)),
+    ...)`` sorted by (real, imag) of ``lam``, where ``nu_k`` is the nullity
+    of ``(a - lam*I)**k``; each cluster's block sizes are decoded from it
+    once, by :func:`weyr_to_block_sizes`.  Two matrices are similar exactly
+    when their clusters match under eigenvalue pairing within tolerance
+    (see :func:`fingerprints_match`).
 
     One eigenvalue computation yields the spectrum; eigenvalues closer than
     ``CLUSTER_TOL`` times the matrix scale are merged (Jordan structure is
     discontinuous, so this is a documented heuristic).  A cluster of one
-    eigenvalue has Weyr characteristic ``(1,)``; when every cluster is one,
-    nothing more is computed.  A repeated cluster is read
-    off the leading block of one complex Schur form (no Schur vectors)
+    eigenvalue has Weyr characteristic ``(1,)`` and one block of size 1;
+    when every cluster is one, nothing more is computed.  A repeated cluster
+    is read off the leading block of one complex Schur form (no Schur vectors)
     reordered to put as many Schur eigenvalues first as the cluster has, the
     nearest ones, so no other eigenvalue enters its nullities: with ``b`` the
     block minus ``lam*I`` and ``s`` its largest singular value, the k-th
@@ -300,14 +307,14 @@ def jordan_fingerprint(a) -> Fingerprint:
     n = _require_square(m)
     norm = matrix_scale(m)
     if n == 0:
-        return Fingerprint([], norm)
+        return JordanStructure((), (), norm)
     if norm == math.inf:  # every cluster would merge, and every nullity be full
         raise OverflowError("the scale of the matrix exceeds the float range")
     w = eigvals(m)
     scale = max(norm, float(np.abs(w).max()), 1e-300)
     clusters = cluster_eigenvalues(w, CLUSTER_TOL * scale)
     if len(clusters) == w.size:  # all singletons, in the sorted order of w
-        return Fingerprint([(lam, (1,)) for lam in w.tolist()], norm)
+        return JordanStructure(tuple((lam, (1,)) for lam in w.tolist()), (_SIMPLE,) * w.size, norm)
     from scipy.linalg import lapack  # ztrsen reorders the Schur form
 
     out = []
@@ -319,7 +326,7 @@ def jordan_fingerprint(a) -> Fingerprint:
     with np.errstate(over="ignore", invalid="ignore"):  # within_range reports overflow
         for idx in clusters:
             if idx.size == 1:
-                out.append((complex(w[idx[0]]), (1,)))
+                out.append((complex(w[idx[0]]), (1,), _SIMPLE))
                 continue
             d = apart[:, idx].min(axis=1)
             # With wantq=0, ztrsen reads no Schur vectors; t stands in for them.
@@ -335,19 +342,20 @@ def jordan_fingerprint(a) -> Fingerprint:
                 if nullity <= weyr[-1]:
                     break
                 weyr.append(nullity)
-            weyr_to_block_sizes(tuple(weyr))  # raises unless weyr is a Weyr characteristic
-            out.append((lam, tuple(weyr)))
+            blocks = weyr_to_block_sizes(tuple(weyr))  # raises unless weyr is a Weyr characteristic
+            out.append((lam, tuple(weyr), tuple(blocks.items())))
     out.sort(key=lambda c: (c[0].real, c[0].imag))
-    return Fingerprint(out, norm)
+    return JordanStructure(tuple((lam, weyr) for lam, weyr, _ in out), tuple(b for *_, b in out), norm)
 
 
 def fingerprints_match(
-    fa: list[tuple[complex, tuple[int, ...]]],
-    fb: list[tuple[complex, tuple[int, ...]]],
+    fa: Sequence[tuple[complex, tuple[int, ...]]],
+    fb: Sequence[tuple[complex, tuple[int, ...]]],
     gap: float,
 ) -> bool:
-    """Whether the clusters of two fingerprints pair off one to one, each
-    pair within ``gap`` of each other and with equal Weyr characteristics.
+    """Whether two sequences of ``(lam, weyr)`` clusters (such as
+    :attr:`JordanStructure.clusters`) pair off one to one, each pair within
+    ``gap`` of each other and with equal Weyr characteristics.
 
     Decided by augmenting paths over the admissible pairs (a perfect
     bipartite matching), so any valid pairing is found, whatever the sort
@@ -396,16 +404,10 @@ def weyr_to_block_sizes(weyr: tuple[int, ...]) -> dict[int, int]:
             grow, so ``weyr`` is no Weyr characteristic (a cluster whose
             eigenvalues are split, or one that merged separate eigenvalues).
     """
-    nu = [0, *weyr]
-    diffs = [nu[k] - nu[k - 1] for k in range(1, len(nu))]
+    # The k-th step counts the blocks of size k or more.
+    steps = [nu - below for below, nu in zip((0, *weyr), weyr)]
     if weyr and weyr[0] <= 0:
         raise ConvergenceError(f"first nullity of {weyr} is 0: Jordan structure not resolved")
-    if any(later > earlier for earlier, later in zip(diffs, diffs[1:])):
+    if any(later > earlier for earlier, later in zip(steps, steps[1:])):
         raise ConvergenceError(f"nullity steps of {weyr} grow: Jordan structure not resolved")
-    diffs.append(0)
-    counts = {}
-    for k in range(1, len(weyr) + 1):
-        c = diffs[k - 1] - diffs[k]
-        if c > 0:
-            counts[k] = c
-    return counts
+    return {k: c - d for k, (c, d) in enumerate(zip(steps, [*steps[1:], 0]), 1) if c > d}

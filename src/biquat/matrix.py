@@ -366,14 +366,6 @@ class BqMatrix:
         """Half of the block representation's numerical rank, kept exact."""
         return HalfRank(clinalg.rank(self.block_repr()))
 
-    def is_hermitian(self) -> bool:
-        self._require_square()
-        return self.allclose(self.hconj())
-
-    def is_unitary(self) -> bool:
-        ident, h = BqMatrix.identity(self._require_square()), self.hconj()
-        return (self @ h).allclose(ident) and (h @ self).allclose(ident)
-
     def _require_square(self) -> int:
         if self.rows != self.cols:
             raise DimensionError(f"expected square matrix, got {self.shape}")

@@ -341,7 +341,8 @@ class Biquaternion:
 
         Constructed by diagonalizing (generic case) or Jordan-reducing (null
         case) the 2x2 complex image and pulling the similarity matrix back
-        through the isomorphism.
+        through the isomorphism.  The generic witness is taken from the
+        element scaled by a power of two, so it exists at any magnitude.
 
         Raises:
             DegenerateWitnessError: if the witness's image is numerically
@@ -350,29 +351,30 @@ class Biquaternion:
                 ``N = image - a0*I``: the rank rule ``clinalg.DEFAULT_TOL``
                 makes this raise once ``|N|`` passes ``1/DEFAULT_TOL`` or
                 ``DEFAULT_TOL`` (``1e10`` or ``1e-10``).
-            OverflowError: if the image or the witness lies beyond the float
-                range.
+            OverflowError: if ``tau`` of the form, or in the null case the
+                image or the witness, lies beyond the float range.
         """
         form, case = self.canonical_form()
         if case is CanonicalCase.COMPLEX or self == form:
             return Biquaternion(1)
-        m = self.as_complex_matrix()
         if case is CanonicalCase.NULL:
-            s = self._null_reduction(m)
+            s = self._null_reduction(self.as_complex_matrix())
         else:
-            s = self._generic_reduction(m, form)
+            s = self._generic_reduction()
         if clinalg.rank(clinalg.within_range(s, "the witness")) < 2:
             raise DegenerateWitnessError("the constructed witness is a zero divisor")
         return Biquaternion.from_complex_matrix(s)
 
-    def _generic_reduction(self, m: np.ndarray, form: "Biquaternion") -> np.ndarray:
-        # Columns are eigenvectors for a0 + tau*i and a0 - tau*i, in that
-        # order: the diagonal of the form's image.
-        m11, _, _, m22 = image(form.components)
+    def _generic_reduction(self) -> np.ndarray:
+        # Unit eigenvectors for a0 + tau*i and a0 - tau*i (the diagonal of the
+        # form's image) of the scaled element: directions do not scale.
+        comps = self._scaled()[0]
+        m11, m12, m21, m22 = image(comps)
+        tau = principal_sqrt(comps[1] ** 2 + comps[2] ** 2 + comps[3] ** 2)
         cols = []
-        for mu in (m11, m22):
-            v1 = np.array([m[0, 1], mu - m[0, 0]])
-            v2 = np.array([mu - m[1, 1], m[1, 0]])
+        for mu in image((comps[0], tau, 0j, 0j))[::3]:
+            v1 = np.array([m12, mu - m11])
+            v2 = np.array([mu - m22, m21])
             v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
             cols.append(v / np.linalg.norm(v))
         return np.column_stack(cols)

@@ -8,12 +8,11 @@ complex right eigenvalues of ``A``, each of its eigenvectors ``Y`` lifts
 through the frame to a quaternion eigenvector ``X``, and two matrices are
 similar over the algebra exactly when their block representations are
 similar over the complex numbers (equal Jordan fingerprints).  Similarity,
-diagonalizability and similarity to a complex matrix read the one Jordan
-structure of :func:`clinalg.jordan_fingerprint`, from eigenvalues only.
-Consecutive verdicts reuse the Jordan structure of their last two operands,
-keyed by the matrix value, so ``similar(x, y)`` followed by
-``diagonalizable(x)`` computes two fingerprints, not three; an error is not
-kept, and a refused matrix is refused again on every call.
+diagonalizability and similarity to a complex matrix read one frozen value
+per operand, :func:`jordan_structure`, from eigenvalues only.  It is kept
+for the last two operands, keyed by the matrix value, so ``similar(x, y)``
+followed by ``diagonalizable(x)`` computes two fingerprints, not three; an
+error is not kept, and a refused matrix is refused again on every call.
 
 A *regular* right eigenpair is one whose eigenvector has rank 1 as a
 quaternion column (block-representation rank 2); its eigenvalue is a full
@@ -157,15 +156,19 @@ def derived_complex_eigenvalues(a: BqMatrix, pair: RegularEigenPair) -> list[com
 
 
 @lru_cache(maxsize=2)
-def _structure(a: BqMatrix) -> tuple[tuple[tuple[complex, tuple[int, ...]], ...], float]:
-    """Jordan fingerprint and scale of the block representation of ``a``.
+def jordan_structure(a: BqMatrix) -> clinalg.JordanStructure:
+    """The :class:`clinalg.JordanStructure` of the block representation of
+    ``a``, the value every verdict here reads.
 
     Kept for the last two operands, keyed by the matrix value: one
-    :func:`similar` call has two, and the next verdict on either reuses its
-    structure.  A raised error is not kept, so it is raised again.
+    :func:`similar` call has two, and the next verdict on either, or a
+    caller printing what a verdict read, gets the same value back.  A raised
+    error is not kept, so it is raised again.
+
+    Raises:
+        ConvergenceError, OverflowError: see :func:`clinalg.jordan_fingerprint`.
     """
-    fingerprint = clinalg.jordan_fingerprint(a.block_repr())
-    return tuple(fingerprint), fingerprint.scale
+    return clinalg.jordan_fingerprint(a.block_repr())
 
 
 def similar(a: BqMatrix, b: BqMatrix) -> bool:
@@ -182,8 +185,9 @@ def similar(a: BqMatrix, b: BqMatrix) -> bool:
     b._require_square()
     if a.shape != b.shape:
         raise DimensionError(f"size mismatch: {a.shape} vs {b.shape}")
-    (fa, scale_a), (fb, scale_b) = _structure(a), _structure(b)
-    return clinalg.fingerprints_match(fa, fb, clinalg.CLUSTER_TOL * max(scale_a, scale_b, 1e-300))
+    sa, sb = jordan_structure(a), jordan_structure(b)
+    gap = clinalg.CLUSTER_TOL * max(sa.scale, sb.scale, 1e-300)
+    return clinalg.fingerprints_match(sa.clusters, sb.clusters, gap)
 
 
 def diagonalizable(a: BqMatrix) -> bool:
@@ -191,20 +195,16 @@ def diagonalizable(a: BqMatrix) -> bool:
 
     Holds exactly when no Jordan block of the block representation exceeds
     size 2 (each diagonal entry's 2x2 image is one block of size 2 at most),
-    i.e. the second generalized nullity of every eigenvalue already equals
-    its algebraic multiplicity.  The interleaved representation is
-    permutation-similar to the block one, so it has the same blocks.
+    i.e. every Weyr characteristic has at most two nullities (they strictly
+    increase up to the algebraic multiplicity).  The interleaved
+    representation is permutation-similar to the block one, so it has the
+    same blocks.
 
     Raises:
         ConvergenceError, OverflowError: see :func:`clinalg.jordan_fingerprint`.
     """
     a._require_square()
-    for _, weyr in _structure(a)[0]:
-        mult = weyr[-1]
-        nu2 = weyr[1] if len(weyr) > 1 else weyr[0]
-        if nu2 != mult:
-            return False
-    return True
+    return all(len(weyr) <= 2 for _, weyr in jordan_structure(a).clusters)
 
 
 def similar_to_complex(a: BqMatrix) -> tuple[bool, np.ndarray | None]:
@@ -218,19 +218,15 @@ def similar_to_complex(a: BqMatrix) -> tuple[bool, np.ndarray | None]:
     Raises:
         ConvergenceError, OverflowError: see :func:`clinalg.jordan_fingerprint`.
     """
-    n = a._require_square()
+    a._require_square()
+    structure = jordan_structure(a)
     blocks: list[tuple[complex, int]] = []
-    for lam, weyr in _structure(a)[0]:
-        for size, count in clinalg.weyr_to_block_sizes(weyr).items():
+    for (lam, _), sizes in zip(structure.clusters, structure.blocks):
+        for size, count in sizes:
             if count % 2:
                 return False, None
             blocks.extend([(lam, size)] * (count // 2))
     blocks.sort(key=lambda item: (item[0].real, item[0].imag, item[1]))
-    j = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for lam, size in blocks:
-        j[pos : pos + size, pos : pos + size] = lam * np.eye(size) + np.diag(
-            np.ones(size - 1), 1
-        )
-        pos += size
-    return True, j
+    lams = np.array([lam for lam, size in blocks for _ in range(size)], dtype=complex)
+    ones = [float(k < size - 1) for _, size in blocks for k in range(size)]
+    return True, np.diag(lams) + np.diag(ones[:-1], 1)

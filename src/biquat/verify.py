@@ -232,8 +232,8 @@ def verify_suite(seed: int = 42, trials: int = 50, size: int = 3) -> VerifyRepor
         form, _ = a.canonical_form()
         p = a.similarity_witness()
         conj = p.inverse() * a * p
-        fa = clinalg.jordan_fingerprint(a.as_complex_matrix())
-        fb = clinalg.jordan_fingerprint(form.as_complex_matrix())
+        fa = clinalg.jordan_fingerprint(a.as_complex_matrix()).clusters
+        fb = clinalg.jordan_fingerprint(form.as_complex_matrix()).clusters
         gap = clinalg.CLUSTER_TOL * max(1.0, a.norm())
         if not clinalg.fingerprints_match(fa, fb, gap):
             return 1.0

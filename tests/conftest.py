@@ -96,7 +96,7 @@ def time_bound(seconds: int):
 def fresh_structure_cache():
     # Verdicts keep the Jordan structure of their last operands; a test that
     # counts fingerprints must not see an earlier test's matrices.
-    spectral._structure.cache_clear()
+    spectral.jordan_structure.cache_clear()
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ import pytest
 
 import biquat
 from biquat import E1, E2, Biquaternion, BqMatrix, clinalg, io, sampling
-from biquat.cli import CLOSED_STDOUT, main
+from biquat.cli import CLOSED_STDOUT, DIGITS, OUTPUT_ERROR, main
+from biquat.scalar import format_complex
 from conftest import OVERFLOWING_SPECTRUM, merged_cluster_matrix, split_cluster_matrix, time_bound
 
 
@@ -156,14 +157,22 @@ class TestSimilarityVerbs:
         fingerprint = clinalg.jordan_fingerprint
 
         def counted_fingerprint(*args, **kwargs):
-            computed.append(args)
-            return fingerprint(*args, **kwargs)
+            computed.append(fingerprint(*args, **kwargs))
+            return computed[-1]
 
         monkeypatch.setattr(clinalg, "jordan_fingerprint", counted_fingerprint)
         paths = [write_doc(m) for m in matrices]
         code, out, _ = run_cli(capsys, verb, *paths)
         assert code == 0 and "fingerprint" in out
         assert len(computed) == fingerprints
+        # the printout is the structure each operand's verdict read
+        read = computed if len(computed) == len(matrices) else computed * len(matrices)
+        expected = [
+            f"  eigenvalue {format_complex(lam, DIGITS)}  weyr {','.join(map(str, weyr))}"
+            for structure in read
+            for lam, weyr in structure.clusters
+        ]
+        assert [line for line in out.splitlines() if line.startswith("  eigenvalue")] == expected
 
 
 class TestExitCodes:
@@ -286,7 +295,7 @@ class TestExitCodes:
         assert code == 3 and not out
         assert err == f"error: numerical: {verb}: the block representation exceeds the float range\n"
 
-    def test_io_error_outside_loading_is_not_a_parse_error(self, write_doc, monkeypatch):
+    def test_io_error_outside_loading_is_not_a_parse_error(self, capsys, write_doc, monkeypatch):
         class Stalled:
             def write(self, text):
                 raise TimeoutError("output stalled")
@@ -296,8 +305,21 @@ class TestExitCodes:
 
         path = write_doc(single(E1))
         monkeypatch.setattr("sys.stdout", Stalled())
-        with pytest.raises(TimeoutError):
-            main(["rank", path])
+        assert main(["rank", path]) == OUTPUT_ERROR
+        assert capsys.readouterr().err == "error: output: rank: output stalled\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_output_device_is_an_output_error(self, write_doc):
+        # the write fails with ENOSPC: one line on stderr, nothing at exit
+        src = os.path.dirname(os.path.dirname(biquat.__file__))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "biquat.cli", "inv", write_doc(single(E1))],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        assert proc.returncode == OUTPUT_ERROR
+        assert proc.stderr.startswith("error: output: inv: ") and proc.stderr.count("\n") == 1
 
 
 class TestClosedStdout:
@@ -359,14 +381,22 @@ class TestStartup:
         assert proc.stdout.strip() == "False"
 
     def test_import_leaves_out_scipy(self):
-        # scipy serves Schur forms only, loaded on first use
+        # scipy serves Schur forms only, loaded on first use: neither the
+        # import nor a similarity verdict on a simple block spectrum loads it
         src = os.path.dirname(os.path.dirname(biquat.__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        code = "import sys, biquat; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        code = (
+            "import sys, biquat\n"
+            "from biquat import E1, BqMatrix\n"
+            "loaded = lambda: any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "print(loaded())\n"
+            "assert biquat.similar(BqMatrix.diag([E1, 1 + 2 * E1]), BqMatrix.diag([1 + 2 * E1, E1]))\n"
+            "print(loaded())"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["False", "False"]
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import warnings
@@ -207,14 +208,14 @@ def test_matrix_scale_is_scale_free(c):
 
 class TestJordanFingerprint:
     def test_identity(self):
-        assert clinalg.jordan_fingerprint(I2) == [(1 + 0j, (2,))]
+        assert clinalg.jordan_fingerprint(I2).clusters == ((1 + 0j, (2,)),)
 
     def test_nilpotent_block(self):
-        assert clinalg.jordan_fingerprint(NILP) == [(0j, (1, 2))]
+        assert clinalg.jordan_fingerprint(NILP).clusters == ((0j, (1, 2)),)
 
     def test_distinct_diagonal(self):
-        fp = clinalg.jordan_fingerprint(np.diag([3.0, 5.0]))
-        assert fp == [(3 + 0j, (1,)), (5 + 0j, (1,))]
+        fp = clinalg.jordan_fingerprint(np.diag([3.0, 5.0])).clusters
+        assert fp == ((3 + 0j, (1,)), (5 + 0j, (1,)))
 
     def test_match_on_conjugates(self, rng):
         a = random_cmatrix(rng, 4, 4, integer=True)
@@ -222,8 +223,8 @@ class TestJordanFingerprint:
         while abs(np.linalg.det(x)) < 0.5:
             x = random_cmatrix(rng, 4, 4, integer=True)
         b = np.linalg.inv(x) @ a @ x
-        fa = clinalg.jordan_fingerprint(a)
-        fb = clinalg.jordan_fingerprint(b)
+        fa = clinalg.jordan_fingerprint(a).clusters
+        fb = clinalg.jordan_fingerprint(b).clusters
         gap = clinalg.CLUSTER_TOL * np.linalg.norm(a)
         assert clinalg.fingerprints_match(fa, fb, gap)
 
@@ -232,14 +233,14 @@ class TestJordanFingerprint:
     def test_scalar_multiple_of_identity(self, c, n):
         # the cluster mean rounds, so the shifted matrix is a tiny nonzero
         # diagonal; it must still count as zero (full kernel)
-        [(lam, weyr)] = clinalg.jordan_fingerprint(c * np.eye(n))
+        [(lam, weyr)] = clinalg.jordan_fingerprint(c * np.eye(n)).clusters
         assert abs(lam - c) <= 1e-15 and weyr == (n,)
 
     @pytest.mark.parametrize("c", [1.0, 0.1, 100.0, 1e-65, 1e83])
     def test_jordan_block_at_any_scale(self, c):
         # eig splits the double eigenvalue, so the square of the shifted
         # matrix is rounding noise; it must still count as zero
-        [(lam, weyr)] = clinalg.jordan_fingerprint(c * np.array([[1 + 2j, 2], [2, 1 - 2j]]))
+        [(lam, weyr)] = clinalg.jordan_fingerprint(c * np.array([[1 + 2j, 2], [2, 1 - 2j]])).clusters
         assert abs(lam - c) <= 1e-15 * c and weyr == (1, 2)
 
     @pytest.mark.parametrize("d", [1.0, 1e-3])
@@ -247,19 +248,19 @@ class TestJordanFingerprint:
         # 3e-6 is its own cluster, but its square is below the cut for the
         # squared shift; only cluster 0's own Schur block may be powered
         a = np.array([[0, d, 0], [0, 0, 0], [0, 0, 3e-6]])
-        fp = clinalg.jordan_fingerprint(a)
+        fp = clinalg.jordan_fingerprint(a).clusters
         assert [weyr for _, weyr in fp] == [(1, 2), (1,)]
 
     @pytest.mark.parametrize("c", [1.0, 1e-120, 1e120])
     def test_size_three_block_powers_do_not_overflow(self, c):
         j = np.kron(np.eye(2), np.eye(3) + np.diag([1.0, 1.0], 1))  # two J3(1)
-        [(lam, weyr)] = clinalg.jordan_fingerprint(c * j)
+        [(lam, weyr)] = clinalg.jordan_fingerprint(c * j).clusters
         assert abs(lam - c) <= 1e-15 * c and weyr == (2, 4, 6)
 
     def test_mismatch_on_shift(self, rng):
         a = random_cmatrix(rng, 3, 3, integer=True)
-        fa = clinalg.jordan_fingerprint(a)
-        fb = clinalg.jordan_fingerprint(a + np.eye(3))
+        fa = clinalg.jordan_fingerprint(a).clusters
+        fb = clinalg.jordan_fingerprint(a + np.eye(3)).clusters
         gap = clinalg.CLUSTER_TOL * np.linalg.norm(a)
         assert not clinalg.fingerprints_match(fa, fb, gap)
 
@@ -291,7 +292,7 @@ class TestJordanFingerprint:
             a = j3 * 1e120
         else:
             a = j3 * 1e-120
-        fp = clinalg.jordan_fingerprint(a)
+        fp = clinalg.jordan_fingerprint(a).clusters
         assert [weyr for _, weyr in fp] == self.WEYR[kind]
         spectrum = clinalg.eigvals(a)
         for lam, _ in fp:
@@ -314,7 +315,7 @@ class TestJordanFingerprint:
         eigs = self._count(monkeypatch, "eigvals")
         svds = self._count(monkeypatch, "singular_values")
         schurs = self._count(monkeypatch, "schur")
-        fp = clinalg.jordan_fingerprint(a)
+        fp = clinalg.jordan_fingerprint(a).clusters
         assert len(eigs) == 1 and not svds and not schurs
         assert [weyr for _, weyr in fp] == [(1,)] * 6
         for lam, _ in fp:
@@ -326,7 +327,7 @@ class TestJordanFingerprint:
         a[0, 1] = 1.0
         eigs = self._count(monkeypatch, "eigvals")
         schurs = self._count(monkeypatch, "schur")
-        (three, five) = clinalg.jordan_fingerprint(a)
+        (three, five) = clinalg.jordan_fingerprint(a).clusters
         assert len(eigs) == 1 and schurs == [False]
         assert three[1] == (2, 3) and five[1] == (1,)
         assert abs(three[0] - 3) <= 1e-14 and abs(five[0] - 5) <= 1e-14
@@ -340,6 +341,18 @@ class TestJordanFingerprint:
             clinalg.jordan_fingerprint(block)
         with pytest.raises(OverflowError, match="eigenvalue"):
             clinalg.eigvals(block)
+
+    def test_structure_is_a_frozen_value(self):
+        # J2(3) + J1(3) + J1(5): equal matrices give equal, hashable values,
+        # with each cluster's blocks decoded from its Weyr characteristic
+        a = np.diag([3.0, 3.0, 3.0, 5.0]).astype(complex)
+        a[0, 1] = 1.0
+        s = clinalg.jordan_fingerprint(a)
+        assert s == clinalg.jordan_fingerprint(a.copy()) and hash(s) == hash(clinalg.jordan_fingerprint(a))
+        assert s.blocks == (((1, 1), (2, 1)), ((1, 1),))
+        assert [dict(b) for b in s.blocks] == [clinalg.weyr_to_block_sizes(w) for _, w in s.clusters]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.scale = 1.0
 
     def test_scale_is_the_frobenius_norm(self, rng):
         for a in (random_cmatrix(rng, 5, 5), np.diag([3.0, 3.0, 5.0]), np.zeros((0, 0))):

@@ -474,33 +474,10 @@ class TestRank:
 
 
 class TestPredicates:
-    def test_hermitian_diagonal(self):
-        assert BqMatrix.diag([1, 2]).is_hermitian()
-
-    def test_not_hermitian(self):
-        assert not BqMatrix.from_entries([[E2]]).is_hermitian()
-
-    def test_unitary_basis_entry(self):
-        assert BqMatrix.from_entries([[E1]]).is_unitary()
-
-    def test_cross_check_with_block_repr(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(1, 4))
-            a = sampling.integer_matrix(rng, n, n)
-            h = a + a.hconj()  # Hermitian by construction
-            rep = h.block_repr()
-            assert h.is_hermitian() == bool(np.allclose(rep, rep.conj().T))
-
-    def test_non_square_rejected(self, rng):
-        with pytest.raises(DimensionError):
-            sampling.integer_matrix(rng, 2, 3).is_hermitian()
-
     def test_small_matrices_are_not_close_to_zero(self):
         # closeness is relative to the operands, with no floor of 1
         small = BqMatrix.identity(2) * 1e-12
         assert not small.allclose(BqMatrix.zeros(2, 2))
-        assert not BqMatrix.from_entries([[E2 * 1e-12]]).is_hermitian()
-        assert (BqMatrix.from_entries([[E1 * 1e-12]]) * 1e12).is_unitary()
 
 
 def _grid_matrix(n, kind, values):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -339,7 +340,7 @@ class TestCanonicalForm:
         form, case = a.canonical_form()
         assert case is CanonicalCase.GENERIC
         assert form.a0 == a.a0 and abs(form.a1 - 1e-7) <= 1e-22
-        assert len(clinalg.jordan_fingerprint(a.as_complex_matrix())) == 2
+        assert len(clinalg.jordan_fingerprint(a.as_complex_matrix()).clusters) == 2
 
 
 class TestSimilarityWitness:
@@ -365,6 +366,18 @@ class TestSimilarityWitness:
             with pytest.raises(DegenerateWitnessError):
                 a.similarity_witness()
 
+    def test_generic_witness_at_any_scale(self):
+        # eigenvector directions do not depend on scale: the witness is built
+        # from the element scaled by a power of two, so no step overflows
+        for k in range(-300, 301, 10):
+            a = Biquaternion(1, 2, 3, 4) * 10.0**k
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                p = a.similarity_witness()
+                form, case = a.canonical_form()
+                err = (p.inverse() * a * p - form).norm()
+            assert case is CanonicalCase.GENERIC and err <= 1e-9 * a.norm(), k
+
     def test_random_contract_and_fingerprint(self, rng):
         for _ in range(50):
             a = sampling.unit_biquaternion(rng)
@@ -372,8 +385,8 @@ class TestSimilarityWitness:
             p = a.similarity_witness()
             conj = p.inverse() * a * p
             assert bq_close(conj, form, tol=1e-9 * (1 + a.norm()))
-            fa = clinalg.jordan_fingerprint(a.as_complex_matrix())
-            fb = clinalg.jordan_fingerprint(form.as_complex_matrix())
+            fa = clinalg.jordan_fingerprint(a.as_complex_matrix()).clusters
+            fb = clinalg.jordan_fingerprint(form.as_complex_matrix()).clusters
             gap = clinalg.CLUSTER_TOL * max(1.0, a.norm())
             assert clinalg.fingerprints_match(fa, fb, gap)
 
@@ -481,7 +494,7 @@ class TestScaleFree:
     def test_case_matches_image_fingerprint(self, a, k):
         ac = a * 10.0**k
         _, case = ac.canonical_form()
-        fp = clinalg.jordan_fingerprint(ac.as_complex_matrix())
+        fp = clinalg.jordan_fingerprint(ac.as_complex_matrix()).clusters
         assert [weyr for _, weyr in fp] == CASE_WEYR[case]
 
 

@@ -369,8 +369,8 @@ class TestSimilarToComplex:
         ok, j = similar_to_complex(BqMatrix.from_complex(c))
         assert ok
         # witness must be similar to c over the complex numbers
-        fj = clinalg.jordan_fingerprint(j)
-        fc = clinalg.jordan_fingerprint(c)
+        fj = clinalg.jordan_fingerprint(j).clusters
+        fc = clinalg.jordan_fingerprint(c).clusters
         gap = clinalg.CLUSTER_TOL * max(1.0, float(np.linalg.norm(c)))
         assert clinalg.fingerprints_match(fj, fc, gap)
 
@@ -405,6 +405,22 @@ class TestSimilarToComplex:
         # no verdict reads nullities that are no Weyr characteristic
         with pytest.raises(ConvergenceError):
             verdict(matrix())
+
+    @pytest.mark.parametrize("lam", [complex(-1, -0.0), complex(-0.0, 2), complex(-0.0, -0.0), 2 - 1j])
+    def test_witness_matches_blockwise_construction(self, lam):
+        # reference: each block written in place as lam * I plus its
+        # superdiagonal of ones; compared byte for byte, signed zeros included
+        j = np.diag([lam, lam, lam, 3 - 1j]) + np.diag([1.0, 0.0, 0.0], 1)
+        a = BqMatrix.from_complex(j)
+        ok, witness = similar_to_complex(a)
+        structure = spectral.jordan_structure(a)
+        ref, pos = np.zeros((4, 4), dtype=complex), 0
+        for (mu, _), sizes in zip(structure.clusters, structure.blocks):
+            for size, count in sizes:
+                for _ in range(count // 2):
+                    ref[pos : pos + size, pos : pos + size] = mu * np.eye(size) + np.diag(np.ones(size - 1), 1)
+                    pos += size
+        assert ok and pos == 4 and witness.tobytes() == ref.tobytes()
 
     def test_jordan_witness_structure(self):
         # doubled nilpotent 2-block: J should be one 2-block
@@ -506,7 +522,7 @@ class TestStructureReuse:
             with pytest.raises(ConvergenceError):
                 diagonalizable(x)
         assert len(computed) == 2
-        assert spectral._structure.cache_info().currsize == 0
+        assert spectral.jordan_structure.cache_info().currsize == 0
 
     def test_same_results_as_a_cleared_cache(self, rng):
         x, y, z = self.operands(rng)
@@ -515,13 +531,13 @@ class TestStructureReuse:
             lambda: similar(x, z),
             lambda: diagonalizable(x),
             lambda: similar_to_complex(x),
-            lambda: spectral._structure(x),
+            lambda: spectral.jordan_structure(x),
         ]
         kept = [call() for call in calls]
-        assert spectral._structure.cache_info().hits == 4
+        assert spectral.jordan_structure.cache_info().hits == 4
         fresh = []
         for call in calls:
-            spectral._structure.cache_clear()
+            spectral.jordan_structure.cache_clear()
             fresh.append(call())
         assert kept[:3] == fresh[:3] and kept[4] == fresh[4]
         (ok, witness), (fresh_ok, fresh_witness) = kept[3], fresh[3]
