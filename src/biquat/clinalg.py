@@ -5,7 +5,10 @@ the routines here (all operating on plain 2-D ``numpy`` arrays of
 ``complex128``): determinant, SVD-based rank and pseudoinverse,
 eigendecomposition, complex Schur form, characteristic polynomial, and the
 Jordan structure behind similarity (:func:`jordan_fingerprint`, one frozen
-:class:`JordanStructure` per matrix).
+:class:`JordanStructure` per matrix).  Each numerical rule of the package is
+here once: the rank rule ``DEFAULT_TOL``, the cluster rule ``CLUSTER_TOL``,
+and norms that rescale by a power of two where squares leave the float range
+(:func:`norms`, :func:`matrix_scale`).
 
 Factorizations are delegated to LAPACK through ``numpy.linalg`` (and
 ``zgees``/``ztrsen`` from ``scipy.linalg.lapack``, imported on first use);
@@ -83,7 +86,7 @@ def det(a) -> complex:
     """
     m = _matrix(a)
     n = _require_square(m)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if n == 0:
             d = 1 + 0j
         elif n == 1:
@@ -190,22 +193,26 @@ def charpoly(a) -> Polynomial:
     return Polynomial(within_range(coeffs, "the characteristic polynomial"))
 
 
-def squaring_unit(top):
-    """Exact powers of two that bring each largest magnitude ``top`` into
-    [0.5, 1), capped so they stay finite: after scaling no square overflows."""
-    return np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1022))
+def norms(c, axis=None, weight: int = 1) -> np.ndarray:
+    """``sqrt(weight * sum |c|**2)`` over ``axis`` (all of it by default).  Where squares leave
+    the float range, they are taken on ``c`` times the power of two that brings its largest real
+    or imaginary part (a modulus can overflow) into [0.5, 1), capped to stay finite."""
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        out = np.sqrt(weight * (np.abs(c) ** 2).sum(axis=axis))
+        if 2.0**-480 < out.min(initial=np.inf) and out.max(initial=0.0) < np.inf:
+            return out
+        top = np.maximum(np.abs(c.real), np.abs(c.imag)).max(axis=axis, keepdims=True, initial=0.0)
+        unit = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1022))
+        squares = np.sum(np.abs(c * unit) ** 2, axis=axis, keepdims=True)
+        return np.squeeze(np.sqrt(weight * squares) / unit, axis=axis)
 
 
 def matrix_scale(a) -> float:
-    """Frobenius norm, the scale of relative tolerances, rescaled where squares overflow or underflow."""
-    m = _matrix(a)
-    x = m.ravel(order="K")
+    """Frobenius norm, the scale of relative tolerances, by :func:`norms` where squares leave the range."""
+    x = _matrix(a).ravel(order="K")
     with np.errstate(over="ignore"):  # the sums of np.linalg.norm, without its wrapper
         scale = math.sqrt(float(x.real.dot(x.real)) + float(x.imag.dot(x.imag)))
-    if 2.0**-480 < scale < math.inf:
-        return scale
-    unit = float(squaring_unit(np.abs(m).max(initial=0.0)))
-    return float(np.linalg.norm(m * unit)) / unit
+    return scale if 2.0**-480 < scale < math.inf else float(norms(x))
 
 
 def cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:

@@ -12,7 +12,7 @@ complex representations, :func:`scalar.preimage` lifts them back, and
 
 The two are linked by perfect-shuffle permutations
 (:func:`shuffle_permutations`).  Norms are taken on the components without
-forming a representation, by
+forming a representation, by :func:`clinalg.norms` and
 ``|block_repr(A)|_F**2 = 2 * sum_k |A_k|_F**2`` (entrywise,
 ``|x + i*y|**2 + |x - i*y|**2 = 2 * (|x|**2 + |y|**2)``).  Inversion,
 pseudoinversion and rank are computed on the block representation and
@@ -28,8 +28,7 @@ Components are checked for finiteness once per value: where a matrix enters
 that can overflow (sums, products, the block and interleaved
 representations, the lifted inverse and pseudoinverse).  A matrix the
 library builds from checked values by steps that cannot overflow (negation,
-transposes, columns, lifted Schur vectors) is adopted as it is, without a
-copy or a second check.
+transposes, columns) is adopted as it is, without a copy or a second check.
 """
 
 from __future__ import annotations
@@ -212,7 +211,7 @@ class BqMatrix:
     def norm(self) -> float:
         """Frobenius norm of the block representation (the residual norm
         used throughout the package), from ``2 * sum_k |A_k|_F**2``."""
-        return float(_norm(self._c, weight=2))
+        return float(clinalg.norms(self._c, weight=2))
 
     def __repr__(self) -> str:
         return f"BqMatrix({self.rows}x{self.cols})"
@@ -290,7 +289,8 @@ class BqMatrix:
         """
         m, n = self.shape
         out = np.empty((2 * m, 2 * n), dtype=complex)
-        out[:m, :n], out[:m, n:], out[m:, :n], out[m:, n:] = image(self._c)
+        with np.errstate(over="ignore"):  # within_range reports overflow
+            out[:m, :n], out[:m, n:], out[m:, :n], out[m:, n:] = image(self._c)
         return clinalg.within_range(out, "the block representation")
 
     @classmethod
@@ -307,7 +307,8 @@ class BqMatrix:
         """
         m, n = self.shape
         out = np.zeros((2 * m, 2 * n), dtype=complex)
-        out[0::2, 0::2], out[0::2, 1::2], out[1::2, 0::2], out[1::2, 1::2] = image(self._c)
+        with np.errstate(over="ignore"):  # within_range reports overflow
+            out[0::2, 0::2], out[0::2, 1::2], out[1::2, 0::2], out[1::2, 1::2] = image(self._c)
         return clinalg.within_range(out, "the interleaved representation")
 
     @classmethod
@@ -400,18 +401,6 @@ def _as_bq(value) -> Biquaternion:
     if isinstance(value, Biquaternion):
         return value
     return Biquaternion(complex(value))
-
-
-def _norm(c: np.ndarray, axis=None, weight: int = 1) -> np.ndarray:
-    """``sqrt(weight * sum |c|**2)`` over ``axis`` (all of it by default), rescaled
-    as :func:`clinalg.matrix_scale` where the squares leave the float range."""
-    with np.errstate(over="ignore"):
-        out = np.sqrt(weight * (np.abs(c) ** 2).sum(axis=axis))
-    if 2.0**-480 < out.min(initial=np.inf) and out.max(initial=0.0) < np.inf:
-        return out
-    unit = clinalg.squaring_unit(np.abs(c).max(axis=axis, keepdims=True, initial=0.0))
-    squares = np.sum(np.abs(c * unit) ** 2, axis=axis, keepdims=True)
-    return np.squeeze(np.sqrt(weight * squares) / unit, axis=axis)
 
 
 def shuffle_permutations(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -290,13 +290,15 @@ class Biquaternion:
 
     @classmethod
     def from_complex_matrix(cls, m) -> "Biquaternion":
-        """Inverse of :meth:`as_complex_matrix`; accepts any 2x2 complex matrix.
-        A non-finite cell gives a non-finite component, so the constructor's
-        check rejects it."""
-        m = np.asarray(m, dtype=complex)
+        """Inverse of :meth:`as_complex_matrix` on any 2x2 complex matrix: ValueError if a cell
+        is not finite, OverflowError if a sum or difference of two cells, which the
+        components halve, lies beyond the float range."""
+        m = clinalg.as_cmatrix(m)
         if m.shape != (2, 2):
             raise DimensionError(f"expected a 2x2 matrix, got {m.shape}")
-        return cls(*preimage(m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
+        with np.errstate(over="ignore", invalid="ignore"):  # within_range reports overflow
+            c = preimage(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        return cls(*clinalg.within_range(c, "a component of the preimage"))
 
     def pinv(self) -> "Biquaternion":
         """Moore-Penrose inverse: the unique solution of the four Penrose

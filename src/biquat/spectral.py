@@ -20,7 +20,8 @@ biquaternion.  Any 2n x 2 complex ``Y`` spanning an invariant subspace of
 the block representation, ``rep @ Y == Y @ T``, lifts to such a pair: ``X``
 is the preimage of ``Y`` and the eigenvalue the preimage of ``T``.  The
 leading two vectors of one complex Schur form are such a ``Y``, with
-orthonormal columns.
+orthonormal columns.  A given pair is checked by the rank rule alone: its
+vector regular, its residual within ``DEFAULT_TOL * |A| * |X|``.
 """
 
 from __future__ import annotations
@@ -32,12 +33,8 @@ import numpy as np
 
 from . import clinalg
 from .errors import DimensionError, InvalidPairError
-from .matrix import BqMatrix, _norm, _preimage
+from .matrix import BqMatrix
 from .scalar import Biquaternion, CanonicalCase, image
-
-# Largest eigenpair residual, relative to |A|, that
-# derived_complex_eigenvalues accepts.
-_PAIR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -79,11 +76,12 @@ def _lift_columns(y: np.ndarray) -> BqMatrix:
     return BqMatrix._wrap(np.array([up, -1j * up, low, 1j * low]).reshape(4, n, y.shape[1]))
 
 
-def _pair_residual(rep: np.ndarray, x: BqMatrix, lam: Biquaternion) -> float:
-    """``|A @ X - X * lam|`` in the block norm, with ``rep`` the block representation
-    of ``A``: ``block(X * lam) == block(X) @ image(lam)``, so one product serves."""
-    bx = x.block_repr()
-    return clinalg.matrix_scale(rep @ bx - bx @ lam.as_complex_matrix())
+def _pair_residual(rep: np.ndarray, bx: np.ndarray, lam: Biquaternion) -> float:
+    """``|A @ X - X * lam|`` in the block norm, from the block representations of ``A``
+    and ``X``: ``block(X * lam) == block(X) @ image(lam)``, so one product serves."""
+    with np.errstate(over="ignore", invalid="ignore"):  # within_range reports overflow
+        r = clinalg.within_range(rep @ bx - bx @ lam.as_complex_matrix(), "an eigenpair residual")
+    return clinalg.matrix_scale(r)
 
 
 def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
@@ -93,6 +91,9 @@ def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
     quaternion eigenpair (lam, frame @ Y); conversely no complex right
     eigenvalue exists outside the block representation's spectrum.  Pairs
     are sorted by (real, imag) of the eigenvalue.
+
+    Raises:
+        OverflowError: if an eigenpair or its residual lies beyond the float range.
     """
     n = a._require_square()
     rep = a.block_repr()
@@ -101,8 +102,9 @@ def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
     # One product for every column: lam is central, so block(X * lam) is
     # block(X) * lam, and columns k and 2n + k of block(X) are block(X_k).
     bx = x.block_repr()
-    r = rep @ bx - bx * np.concatenate([w, w])
-    residuals = _norm(r.reshape(2 * n, 2, 2 * n), axis=(0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # within_range reports overflow
+        r = clinalg.within_range(rep @ bx - bx * np.concatenate([w, w]), "an eigenpair residual")
+    residuals = clinalg.norms(r.reshape(2 * n, 2, 2 * n), axis=(0, 1))
     return [
         EigenPair(lam, col, res)
         for lam, col, res in zip(w.tolist(), x._columns(), residuals.tolist())
@@ -118,15 +120,18 @@ def regular_right_eigenpair(a: BqMatrix) -> RegularEigenPair:
     of ``T`` to the eigenvalue.  The Schur vectors are orthonormal, so the
     eigenvector's block representation has full column rank 2 and the
     residual is the backward error of the Schur form.
+
+    Raises:
+        OverflowError: if the Schur form, the eigenvalue or the residual lies beyond the float range.
     """
     n = a._require_square()
     if n < 1:
         raise DimensionError("empty matrix has no eigenpairs")
     rep = a.block_repr()
     t, q = clinalg.schur(rep, vectors=True)
-    x = BqMatrix._wrap(_preimage(q[:, :2]))  # orthonormal columns: no overflow
+    x = BqMatrix.from_block_repr(q[:, :2])
     value = Biquaternion.from_complex_matrix(t[:2, :2])
-    return RegularEigenPair(value, x, _pair_residual(rep, x, value))
+    return RegularEigenPair(value, x, _pair_residual(rep, x.block_repr(), value))
 
 
 def derived_complex_eigenvalues(a: BqMatrix, pair: RegularEigenPair) -> list[complex]:
@@ -139,13 +144,18 @@ def derived_complex_eigenvalues(a: BqMatrix, pair: RegularEigenPair) -> list[com
     isotropic one contributes ``a0`` once.
 
     Raises:
-        InvalidPairError: if the pair's residual exceeds ``1e-8 * |A|``.
+        InvalidPairError: unless the vector is regular (block rank 2 by the
+            rank rule) and the residual at most ``DEFAULT_TOL * |A| * |X|``
+            in block norms, which hold for ``X`` times any nonzero complex number.
+        OverflowError: if the residual lies beyond the float range.
     """
-    residual = _pair_residual(a.block_repr(), pair.vector, pair.value)
-    if residual > _PAIR_TOL * max(a.norm(), 1e-300):
-        raise InvalidPairError(
-            f"eigenpair residual {residual:.3e} exceeds tolerance"
-        )
+    rep, bx = a.block_repr(), pair.vector.block_repr()
+    if clinalg.rank(bx) < 2:
+        raise InvalidPairError("eigenvector is not regular: its block rank is below 2")
+    residual = _pair_residual(rep, bx, pair.value)
+    # |X| > 0 divided out: the bound's product neither under- nor overflows
+    if residual / clinalg.matrix_scale(bx) > clinalg.DEFAULT_TOL * clinalg.matrix_scale(rep):
+        raise InvalidPairError(f"eigenpair residual {residual:.3e} exceeds tolerance")
     form, case = pair.value.canonical_form()
     if case is CanonicalCase.COMPLEX:
         return [form.a0, form.a0]

@@ -1,13 +1,18 @@
+import json
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biquat
-from biquat import E1, E2, Biquaternion, BqMatrix, clinalg, io, sampling
+from biquat import E1, E2, Biquaternion, BqMatrix, clinalg, io, sampling, spectral
 from biquat.cli import CLOSED_STDOUT, DIGITS, OUTPUT_ERROR, main
 from biquat.scalar import format_complex
 from conftest import OVERFLOWING_SPECTRUM, merged_cluster_matrix, split_cluster_matrix, time_bound
@@ -290,10 +295,42 @@ class TestExitCodes:
         # but the block cell a0 - i*a1 = 2e308 does not exist
         path = tmp_path / "zero-divisor.json"
         path.write_text('{"rows": 1, "cols": 1, "entries": [[[1e308, 0], [0, 1e308], [0, 0], [0, 0]]]}')
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, out, err = run_cli(capsys, verb, str(path))
         assert code == 3 and not out
         assert err == f"error: numerical: {verb}: the block representation exceeds the float range\n"
+        assert not caught  # no numpy RuntimeWarning either
+
+    @pytest.mark.parametrize(
+        "verb, entries, what",
+        [
+            # the leading Schur block has eigenvalues +-1.7e308: m22 - m11 overflows
+            ("regular-eig", [[[0, 1e-310], [0, -0.0], [-1, 0], [-1.7e308, 0]]], "a component of the preimage"),
+            # A @ X overflows in the residual of the pair
+            ("eig", [[[1e154, -1.7e308], [0, 0], [0, 0], [0, 0]]], "an eigenpair residual"),
+            (
+                "regular-eig",
+                [
+                    [[0, 0]] * 4,
+                    [[0, 0], [0, 0], [1e200, 1e200], [0, 0]],
+                    [[0, 0], [0, 0], [0, 0], [1e154, 1.7e308]],
+                    [[0, 0], [0, 1.7e308], [0, 0], [0, 0]],
+                ],
+                "an eigenpair residual",
+            ),
+        ],
+    )
+    def test_eigenpair_beyond_float_range_is_numerical(self, capsys, tmp_path, verb, entries, what):
+        n = 1 if len(entries) == 1 else 2
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"rows": n, "cols": n, "entries": entries}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, verb, str(path))
+        assert code == 3 and not out
+        assert err == f"error: numerical: {verb}: {what} exceeds the float range\n"
+        assert not caught  # no numpy RuntimeWarning either
 
     def test_io_error_outside_loading_is_not_a_parse_error(self, capsys, write_doc, monkeypatch):
         class Stalled:
@@ -320,6 +357,69 @@ class TestExitCodes:
             )
         assert proc.returncode == OUTPUT_ERROR
         assert proc.stderr.startswith("error: output: inv: ") and proc.stderr.count("\n") == 1
+
+
+# Components of the totality documents: both ends of the float range, the
+# squares that just fit or just overflow (1e154, 1e155), subnormals.
+EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 3.0, 1e200, -1e200, 1e-200, 1e154, 1e155, 1e-310, 5e-324, 1.7e308, -1.7e308]
+# Every verb that reads a document, with its flags; verify reads none.
+DOCUMENT_VERBS = [
+    ["repr"], ["repr", "--small"], ["inv"], ["pinv"], ["rank"], ["det"], ["charpoly"],
+    ["eig", "--vectors"], ["regular-eig"], ["canonical"], ["similar"], ["diagonalizable"],
+    ["similar-to-complex"],
+]
+SHAPES = [(1, 1), (1, 1), (2, 2), (2, 2), (3, 3), (3, 3), (1, 2), (3, 2)]
+
+
+@st.composite
+def edge_entries(draw):
+    """Four ``[re, im]`` pairs: a zero entry, a zero divisor ``x + i*x*e1`` or
+    parts from EDGE_VALUES, with zeros mixed in."""
+    kind = draw(st.sampled_from(["zero", "zero divisor", "parts", "parts"]))
+    if kind == "zero":
+        return [[0.0, 0.0]] * 4
+    if kind == "zero divisor":
+        x = draw(st.sampled_from(EDGE_VALUES))
+        return [[x, 0.0], [0.0, x], [0.0, 0.0], [0.0, 0.0]]
+    part = st.one_of(st.just(0.0), st.sampled_from(EDGE_VALUES))
+    return [[draw(part), draw(part)] for _ in range(4)]
+
+
+def edge_document(draw, rows: int, cols: int) -> str:
+    entries = [draw(edge_entries()) for _ in range(rows * cols)]
+    return json.dumps({"rows": rows, "cols": cols, "entries": entries})
+
+
+class TestTotality:
+    """Every verb on valid documents whose components span the float range
+    ends in a documented exit code, prints nothing non-finite on success, one
+    ``error:`` line on failure, and no numpy RuntimeWarning."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_verb_is_total(self, tmp_path_factory, data):
+        verb = data.draw(st.sampled_from(DOCUMENT_VERBS))
+        rows, cols = (1, 1) if verb == ["canonical"] else data.draw(st.sampled_from(SHAPES))
+        folder = tmp_path_factory.mktemp("edge")
+        paths = []
+        for k in range(2 if verb == ["similar"] else 1):
+            path = folder / f"m{k}.json"
+            path.write_text(edge_document(data.draw, rows, cols))
+            paths.append(str(path))
+        spectral.jordan_structure.cache_clear()
+        out, err = StringIO(), StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            with time_bound(20):
+                code = main([*verb, *paths])
+        out, err = out.getvalue(), err.getvalue()
+        assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code in (0, 2, 3), err
+        if code == 0:
+            assert "nan" not in out.lower() and "inf" not in out.lower(), out
+            assert not err
+        else:
+            assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
 class TestClosedStdout:

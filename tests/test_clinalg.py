@@ -206,6 +206,20 @@ def test_matrix_scale_is_scale_free(c):
     assert clinalg.matrix_scale(np.diag([1.0, 2.0]) * c) / c == pytest.approx(np.sqrt(5), rel=1e-15)
 
 
+def test_matrix_scale_beyond_float_range_is_inf_without_warnings():
+    # the modulus of the entry is inf already, so the rescaling reads its parts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert clinalg.matrix_scale([[1.7e308 + 1.7e308j]]) == np.inf
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+def test_norms_are_scale_free_along_an_axis(s):
+    c = np.array([[3 + 4j, 1e-3], [12j, 0]])
+    assert clinalg.norms(c * s, axis=0) / s == pytest.approx([13, 1e-3], rel=1e-15)
+    assert clinalg.norms(c * s, weight=2) / s == pytest.approx(np.sqrt(2 * (169 + 1e-6)), rel=1e-15)
+
+
 class TestJordanFingerprint:
     def test_identity(self):
         assert clinalg.jordan_fingerprint(I2).clusters == ((1 + 0j, (2,)),)

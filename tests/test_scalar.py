@@ -276,6 +276,25 @@ class TestFromComplexMatrix:
             back = Biquaternion.from_complex_matrix(m).as_complex_matrix()
             assert np.max(np.abs(back - m)) <= 1e-12
 
+    @pytest.mark.parametrize("cell", [np.inf, np.nan, complex(0, -np.inf)])
+    def test_non_finite_cell_is_an_input_error(self, cell):
+        with pytest.raises(ValueError, match="non-finite"):
+            Biquaternion.from_complex_matrix([[1, cell], [0, 1]])
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[1.7e308, 0], [0, 1.7e308]],  # m11 + m22
+            [[1.7e308j, 0], [0, -1.7e308j]],  # m22 - m11
+            [[0, -1.7e308], [1.7e308, 0]],  # m21 - m12
+        ],
+    )
+    def test_overflowing_sum_of_cells_is_numerical(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="a component of the preimage"):
+                Biquaternion.from_complex_matrix(m)
+
 
 class TestPinv:
     def test_zero(self):

@@ -234,6 +234,26 @@ class TestDerivedEigenvalues:
         with pytest.raises(InvalidPairError):
             derived_complex_eigenvalues(a, fake)
 
+    @pytest.mark.parametrize("k", [-12, -9, 0, 8, 12])
+    def test_pair_gate_ignores_the_vector_scale(self, rng, k):
+        # A @ (X c) == (X c) * lam for complex c: a valid pair stays valid,
+        # and a bogus one bogus, whatever the vector is multiplied by
+        a = sampling.unit_matrix(rng, 4, 4)
+        pair = regular_right_eigenpair(a)
+        scaled = RegularEigenPair(pair.value, pair.vector * 10.0**k, 0.0)
+        assert derived_complex_eigenvalues(a, scaled) == derived_complex_eigenvalues(a, pair)
+        b = sampling.unit_matrix(rng, 3, 3)
+        bogus = RegularEigenPair(Biquaternion(7, 1, 2, 3), sampling.unit_matrix(rng, 3, 1) * 10.0**k, 0.0)
+        with pytest.raises(InvalidPairError, match="residual"):
+            derived_complex_eigenvalues(b, bogus)
+
+    @pytest.mark.parametrize("k", [-12, -9, 0, 8, 12])
+    def test_pair_gate_rejects_a_zero_vector(self, rng, k):
+        a = sampling.unit_matrix(rng, 3, 3) * 10.0**k
+        zero = RegularEigenPair(Biquaternion(7, 1, 2, 3), BqMatrix.zeros(3, 1), 0.0)
+        with pytest.raises(InvalidPairError, match="not regular"):
+            derived_complex_eigenvalues(a, zero)
+
     def test_roundtrip_into_spectrum(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 6))
