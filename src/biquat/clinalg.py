@@ -16,7 +16,8 @@ the characteristic polynomial uses the Faddeev-LeVerrier recursion, which is
 exact for integer-valued inputs at desk scale.  Jordan structure reads
 eigenvalues only, plus singular values of one Schur form without vectors
 for repeated clusters; Schur vectors are formed only for regular
-eigenpairs (:func:`schur` with ``vectors=True``).
+eigenpairs of spectra without two semisimple clusters (:func:`schur` with
+``vectors=True``).
 
 The routines take finite arrays: the library checks a value once, where it
 enters (:func:`as_cmatrix` for a matrix from outside, and the constructors

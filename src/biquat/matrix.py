@@ -24,11 +24,13 @@ stands, and only a doubtful one is ranked by SVD.
 
 Components are checked for finiteness once per value: where a matrix enters
 (the constructor, :meth:`BqMatrix.from_block_repr`,
-:meth:`BqMatrix.from_interleaved_repr`) and where one is formed by a step
-that can overflow (sums, products, the block and interleaved
-representations, the lifted inverse and pseudoinverse).  A matrix the
-library builds from checked values by steps that cannot overflow (negation,
-transposes, columns) is adopted as it is, without a copy or a second check.
+:meth:`BqMatrix.from_interleaved_repr`), where a non-finite one is an input
+error (ValueError), and where one is formed by a step that can overflow
+(sums, products, scalar multiples, the block and interleaved
+representations, the inverse and pseudoinverse), which raises
+OverflowError.  A matrix the library builds from checked values by steps
+that cannot overflow (negation, transposes, columns, the lift of finite
+cells) is adopted as it is, without a copy or a second check.
 """
 
 from __future__ import annotations
@@ -227,11 +229,13 @@ class BqMatrix:
 
     def __add__(self, other: "BqMatrix") -> "BqMatrix":
         self._check_same_shape(other)
-        return BqMatrix._wrap(_finite(self._c + other._c))
+        with np.errstate(over="ignore", invalid="ignore"):  # _in_range reports overflow
+            return _in_range(self._c + other._c, "the sum")
 
     def __sub__(self, other: "BqMatrix") -> "BqMatrix":
         self._check_same_shape(other)
-        return BqMatrix._wrap(_finite(self._c - other._c))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _in_range(self._c - other._c, "the difference")
 
     def __neg__(self) -> "BqMatrix":
         return BqMatrix._wrap(-self._c)
@@ -243,7 +247,8 @@ class BqMatrix:
             raise DimensionError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        return BqMatrix._wrap(_finite(np.array(product(self._c, other._c, np.matmul))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _in_range(np.array(product(self._c, other._c, np.matmul)), "the product")
 
     def __mul__(self, scalar) -> "BqMatrix":
         """Right scalar multiple ``A * lam`` (order matters for non-central
@@ -252,13 +257,15 @@ class BqMatrix:
             raise TypeError("use @ for matrix products")
         lam = _as_bq(scalar)
         s = np.asarray(lam.components, dtype=complex).reshape(4, 1, 1)
-        return BqMatrix._wrap(_finite(np.array(product(self._c, s, np.multiply))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _in_range(np.array(product(self._c, s, np.multiply)), "the scalar multiple")
 
     def __rmul__(self, scalar) -> "BqMatrix":
         """Left scalar multiple ``lam * A``."""
         lam = _as_bq(scalar)
         s = np.asarray(lam.components, dtype=complex).reshape(4, 1, 1)
-        return BqMatrix._wrap(_finite(np.array(product(s, self._c, np.multiply))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _in_range(np.array(product(s, self._c, np.multiply)), "the scalar multiple")
 
     def _check_same_shape(self, other: "BqMatrix"):
         if not isinstance(other, BqMatrix):
@@ -349,8 +356,8 @@ class BqMatrix:
                 raise NotInvertibleError("matrix is singular over the biquaternions")
             if inv is None:
                 inv = np.linalg.inv(rep)  # an exact zero pivot the rank rule misses: LinAlgError
-            clinalg.within_range(inv, "the inverse")  # before the lift's sums meet an inf
-        return BqMatrix._wrap(clinalg.within_range(_preimage(inv), "the inverse"))
+            clinalg.within_range(inv, "the inverse")
+        return BqMatrix._wrap(_preimage(inv))
 
     def pinv(self) -> "BqMatrix":
         """Moore-Penrose inverse: unique solution of the four Penrose
@@ -360,8 +367,7 @@ class BqMatrix:
         Raises:
             OverflowError: if the pseudoinverse lies beyond the float range.
         """
-        p = clinalg.pinv(self.block_repr())
-        return BqMatrix._wrap(clinalg.within_range(_preimage(p), "the pseudoinverse"))
+        return BqMatrix._wrap(_preimage(clinalg.pinv(self.block_repr())))
 
     def rank(self) -> HalfRank:
         """Half of the block representation's numerical rank, kept exact."""
@@ -375,10 +381,17 @@ class BqMatrix:
 
 def _finite(c: np.ndarray) -> np.ndarray:
     """``c``, the components of a matrix being built, if all of them are
-    finite: the one check of each matrix value."""
+    finite: the one check of each matrix value that enters from outside."""
     if not np.isfinite(c).all():
         raise ValueError("matrix contains non-finite components")
     return c
+
+
+def _in_range(c: np.ndarray, what: str) -> "BqMatrix":
+    """The matrix with components ``c``, computed from finite values: a
+    component that is not finite left the float range (OverflowError naming
+    ``what``), unlike one given from outside (ValueError)."""
+    return BqMatrix._wrap(clinalg.within_range(c, what))
 
 
 def _even(m, name: str) -> np.ndarray:
@@ -392,7 +405,7 @@ def _even(m, name: str) -> np.ndarray:
 
 def _preimage(m: np.ndarray) -> np.ndarray:
     """The components of the matrix whose block representation is ``m``,
-    unchecked: where that can overflow, the caller checks them."""
+    unchecked: finite for finite ``m`` (see :func:`scalar.preimage`)."""
     hm, hn = m.shape[0] // 2, m.shape[1] // 2
     return np.array(preimage(m[:hm, :hn], m[:hm, hn:], m[hm:, :hn], m[hm:, hn:]))
 

@@ -24,8 +24,9 @@ A :class:`Biquaternion` holds four plain Python ``complex`` components, and
 its arithmetic is plain ``complex`` arithmetic through the same tables; numpy
 enters only where a decision needs the 2x2 image (rank, pseudoinverse,
 similarity witness).  Every element, whether given or computed, is built by
-its constructor, which checks once that its components are finite: an
-operation whose result leaves the float range raises there.
+its constructor, which checks once that its components are finite.  A given
+component that is not finite is an input error (ValueError); an operation
+whose result leaves the float range raises OverflowError.
 """
 
 from __future__ import annotations
@@ -66,8 +67,13 @@ def image(c):
 
 def preimage(m11, m12, m21, m22):
     """Inverse of :func:`image`: the components ``(c0, c1, c2, c3)`` of the
-    cells of any 2x2 complex matrix, cellwise for arrays."""
-    return (m11 + m22) / 2, 1j * (m22 - m11) / 2, (m21 - m12) / 2, 1j * (m12 + m21) / 2
+    cells of any 2x2 complex matrix, cellwise for arrays.
+
+    Each cell is halved before two are combined, so finite cells give finite
+    components; halving is exact outside the subnormal range, where the
+    result equals that of halving the sum."""
+    h11, h12, h21, h22 = m11 / 2, m12 / 2, m21 / 2, m22 / 2
+    return h11 + h22, 1j * (h22 - h11), h21 - h12, 1j * (h12 + h21)
 
 
 def product(a, b, prod):
@@ -112,7 +118,8 @@ class Biquaternion:
 
     Every element, given or computed, is built by ``__init__``, which checks
     its components once: a component that is not finite raises ValueError.
-    Arithmetic works on the components as plain ``complex`` numbers.
+    Arithmetic works on the components as plain ``complex`` numbers; a
+    result that leaves the float range raises OverflowError instead.
     """
 
     __slots__ = ("components",)
@@ -181,7 +188,7 @@ class Biquaternion:
         if b is NotImplemented:
             return NotImplemented
         a0, a1, a2, a3 = self.components
-        return Biquaternion(a0 + b[0], a1 + b[1], a2 + b[2], a3 + b[3])
+        return _computed((a0 + b[0], a1 + b[1], a2 + b[2], a3 + b[3]), "the sum")
 
     __radd__ = __add__
 
@@ -190,14 +197,14 @@ class Biquaternion:
         if b is NotImplemented:
             return NotImplemented
         a0, a1, a2, a3 = self.components
-        return Biquaternion(a0 - b[0], a1 - b[1], a2 - b[2], a3 - b[3])
+        return _computed((a0 - b[0], a1 - b[1], a2 - b[2], a3 - b[3]), "the difference")
 
     def __rsub__(self, other) -> "Biquaternion":
         b = _components(other)
         if b is NotImplemented:
             return NotImplemented
         a0, a1, a2, a3 = self.components
-        return Biquaternion(b[0] - a0, b[1] - a1, b[2] - a2, b[3] - a3)
+        return _computed((b[0] - a0, b[1] - a1, b[2] - a2, b[3] - a3), "the difference")
 
     def __neg__(self) -> "Biquaternion":
         a0, a1, a2, a3 = self.components
@@ -207,20 +214,24 @@ class Biquaternion:
         b = _components(other)
         if b is NotImplemented:
             return NotImplemented
-        return Biquaternion(*product(self.components, b, operator.mul))
+        return _computed(product(self.components, b, operator.mul), "the product")
 
     def __rmul__(self, other) -> "Biquaternion":
         b = _components(other)
         if b is NotImplemented:
             return NotImplemented
-        return Biquaternion(*product(b, self.components, operator.mul))
+        return _computed(product(b, self.components, operator.mul), "the product")
 
     def __truediv__(self, other) -> "Biquaternion":
         # Division only by central (complex) scalars; for general elements
         # multiply by .inverse() explicitly to pick a side.
         if isinstance(other, Biquaternion):
             return NotImplemented
-        return self * (1.0 / complex(other))
+        b = _components(other)
+        if b is NotImplemented:
+            return NotImplemented
+        # The product by the reciprocal, which a subnormal divisor takes out of range.
+        return _computed(product(self.components, (1.0 / b[0], 0j, 0j, 0j), operator.mul), "the quotient")
 
     # -- conjugations and norms ----------------------------------------------
 
@@ -270,11 +281,7 @@ class Biquaternion:
         b0, b1, b2, b3 = comps
         # The product table against the central (unit / wn), zeros included,
         # which fixes the signs of zero components.
-        dual_over_norm = product((b0, -b1, -b2, -b3), (unit / wn, 0j, 0j, 0j), operator.mul)
-        try:
-            return Biquaternion(*dual_over_norm)
-        except ValueError as exc:  # raised here only for non-finite components
-            raise OverflowError("the inverse exceeds the float range") from exc
+        return _computed(product((b0, -b1, -b2, -b3), (unit / wn, 0j, 0j, 0j), operator.mul), "the inverse")
 
     # -- complex 2x2 representation -------------------------------------------
 
@@ -290,15 +297,12 @@ class Biquaternion:
 
     @classmethod
     def from_complex_matrix(cls, m) -> "Biquaternion":
-        """Inverse of :meth:`as_complex_matrix` on any 2x2 complex matrix: ValueError if a cell
-        is not finite, OverflowError if a sum or difference of two cells, which the
-        components halve, lies beyond the float range."""
+        """Inverse of :meth:`as_complex_matrix` on any 2x2 complex matrix (ValueError if a
+        cell is not finite); the preimage of finite cells is finite."""
         m = clinalg.as_cmatrix(m)
         if m.shape != (2, 2):
             raise DimensionError(f"expected a 2x2 matrix, got {m.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):  # within_range reports overflow
-            c = preimage(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-        return cls(*clinalg.within_range(c, "a component of the preimage"))
+        return cls(*preimage(m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
 
     def pinv(self) -> "Biquaternion":
         """Moore-Penrose inverse: the unique solution of the four Penrose
@@ -415,12 +419,25 @@ class Biquaternion:
 
 def _components(value):
     """The components of an element, or of a number taken as a central
-    element; NotImplemented for anything else."""
+    element (ValueError if it is not finite); NotImplemented for anything else."""
     if isinstance(value, Biquaternion):
         return value.components
     if isinstance(value, (int, float, complex, np.number)):
-        return (complex(value), 0j, 0j, 0j)
+        z = complex(value)
+        if not cmath.isfinite(z):
+            raise ValueError(f"operand is not finite: {z!r}")
+        return (z, 0j, 0j, 0j)
     return NotImplemented
+
+
+def _computed(c, what: str) -> Biquaternion:
+    """The element with components ``c``, computed from finite values: a
+    component that is not finite left the float range (OverflowError naming
+    ``what``), unlike one given from outside (ValueError)."""
+    try:
+        return Biquaternion(*c)
+    except ValueError as exc:
+        raise OverflowError(f"{what} exceeds the float range") from exc
 
 
 def _is_central(comps) -> bool:

@@ -16,23 +16,40 @@ error is not kept, and a refused matrix is refused again on every call.
 
 A *regular* right eigenpair is one whose eigenvector has rank 1 as a
 quaternion column (block-representation rank 2); its eigenvalue is a full
-biquaternion.  Any 2n x 2 complex ``Y`` spanning an invariant subspace of
-the block representation, ``rep @ Y == Y @ T``, lifts to such a pair: ``X``
-is the preimage of ``Y`` and the eigenvalue the preimage of ``T``.  The
-leading two vectors of one complex Schur form are such a ``Y``, with
-orthonormal columns.  A given pair is checked by the rank rule alone: its
-vector regular, its residual within ``DEFAULT_TOL * |A| * |X|``.
+biquaternion.  Any 2n x 2 complex ``Y`` with orthonormal columns spanning an
+invariant subspace of the block representation, ``rep @ Y == Y @ T``, lifts
+to such a pair: ``X`` is the preimage of ``Y`` (block rank 2, as ``Y`` has)
+and the eigenvalue the preimage of ``T``.  :func:`regular_right_eigenpair`
+takes ``Y`` by the first path that applies:
+
+* ``n == 1``: ``Y`` is the identity, so the pair is the entry itself, with
+  ``X = [1]`` and residual exactly 0.
+* Two *semisimple* clusters (Weyr characteristic of length 1) in the
+  operand's :func:`jordan_structure`: an eigenvector of each of two of them
+  by inverse iteration, orthonormalised by QR, with ``T`` their Rayleigh
+  quotient.  No Schur vectors are formed, so a simple spectrum loads no
+  scipy.  The pair
+  is kept only if its residual is at backward-error level,
+  ``4 * 2n * eps * |A| * |X|``.
+* Schur: the leading two vectors of one complex Schur form (``zgees`` with
+  vectors).  Spectra without two semisimple clusters (a Jordan block at
+  every eigenvalue, a scalar matrix) take it, as do refused structures and
+  eigenvector pairs that miss the bound.
+
+A given pair is checked by the rank rule alone: its vector regular, its
+residual within ``DEFAULT_TOL * |A| * |X|``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import clinalg
-from .errors import DimensionError, InvalidPairError
+from .errors import ConvergenceError, DimensionError, InvalidPairError
 from .matrix import BqMatrix
 from .scalar import Biquaternion, CanonicalCase, image
 
@@ -114,12 +131,15 @@ def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
 def regular_right_eigenpair(a: BqMatrix) -> RegularEigenPair:
     """One regular right eigenpair; every square matrix has one.
 
-    With ``rep = Q T Q^H`` one complex Schur form of the block
-    representation, ``rep @ Q[:, :2] == Q[:, :2] @ T[:2, :2]``: the two
-    leading Schur vectors lift to the eigenvector and the leading 2x2 block
-    of ``T`` to the eigenvalue.  The Schur vectors are orthonormal, so the
-    eigenvector's block representation has full column rank 2 and the
-    residual is the backward error of the Schur form.
+    Each path lifts an orthonormal 2n x 2 ``Y`` with ``rep @ Y == Y @ T``
+    (see the module docstring): ``n == 1`` gives the entry, eigenvector
+    ``[1]`` and residual 0; two semisimple clusters in
+    :func:`jordan_structure` give ``Y`` from two inverse-iteration steps at
+    each (both solves batched) and ``T = Y^H rep Y``, returned only if the
+    residual is at most ``4 * 2n * eps * |A| * |X|``, the backward error of
+    a stable factorization; otherwise ``Y`` is the two leading Schur vectors
+    and ``T`` the leading 2x2 block of the Schur form, whose backward error
+    the residual is.
 
     Raises:
         OverflowError: if the Schur form, the eigenvalue or the residual lies beyond the float range.
@@ -127,11 +147,58 @@ def regular_right_eigenpair(a: BqMatrix) -> RegularEigenPair:
     n = a._require_square()
     if n < 1:
         raise DimensionError("empty matrix has no eigenpairs")
+    if n == 1:  # the whole block space is invariant
+        return RegularEigenPair(a.entry(0, 0), BqMatrix.identity(1), 0.0)
     rep = a.block_repr()
+    try:
+        pair = _eigenvector_pair(a, rep)
+    except (ConvergenceError, OverflowError, np.linalg.LinAlgError):
+        pair = None
+    if pair is not None:
+        return pair
     t, q = clinalg.schur(rep, vectors=True)
     x = BqMatrix.from_block_repr(q[:, :2])
     value = Biquaternion.from_complex_matrix(t[:2, :2])
     return RegularEigenPair(value, x, _pair_residual(rep, x.block_repr(), value))
+
+
+_EPS = float(np.finfo(float).eps)
+# Inverse iteration's start vector: phases a golden angle apart.  It must not
+# be orthogonal to the left eigenvector, which a constant vector can be for
+# sparse integer input.
+_GOLDEN_ANGLE = math.pi * (3 - math.sqrt(5))
+
+
+def _eigenvector_pair(a: BqMatrix, rep: np.ndarray) -> RegularEigenPair | None:
+    """The eigenvector path of :func:`regular_right_eigenpair`, or None when
+    it does not apply or its pair misses the residual bound."""
+    structure = jordan_structure(a)
+    lams = [lam for lam, weyr in structure.clusters if len(weyr) == 1]
+    if len(lams) < 2:
+        return None
+    far = max(lams[1:], key=lambda lam: abs(lam - lams[0]))
+    size = rep.shape[0]
+    # Solved on rep times the power of two that brings |rep| into [0.5, 1),
+    # so the solution's growth ~1/eps cannot overflow at any scale.  The
+    # shift eps*|rep| keeps an exactly computed eigenvalue off a zero pivot.
+    unit = math.ldexp(1.0, min(-math.frexp(structure.scale)[1], 1022))
+    shifts = np.array([lams[0], far]) * unit + _EPS * structure.scale * unit
+    start = np.exp(1j * _GOLDEN_ANGLE * np.arange(size))
+    with np.errstate(over="ignore", invalid="ignore"):  # within_range reports overflow
+        shifted = rep * unit - shifts[:, None, None] * np.eye(size)
+        # Two steps: the second takes the error of the computed eigenvalue out
+        # of the vector, so its residual stays at backward-error level.
+        y = np.linalg.solve(shifted, np.linalg.solve(shifted, start[:, None]))[:, :, 0].T
+        q = np.linalg.qr(y)[0]  # orthonormal: block rank 2 by construction
+        t = clinalg.within_range(q.conj().T @ (rep @ q), "the Rayleigh quotient")
+    value = Biquaternion.from_complex_matrix(t)
+    x = BqMatrix.from_block_repr(q)
+    bx = x.block_repr()
+    residual = _pair_residual(rep, bx, value)
+    # |X| > 0 divided out: the bound's product neither under- nor overflows
+    if residual / clinalg.matrix_scale(bx) > 4 * size * _EPS * structure.scale:
+        return None
+    return RegularEigenPair(value, x, residual)
 
 
 def derived_complex_eigenvalues(a: BqMatrix, pair: RegularEigenPair) -> list[complex]:

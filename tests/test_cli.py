@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import biquat
 from biquat import E1, E2, Biquaternion, BqMatrix, clinalg, io, sampling, spectral
 from biquat.cli import CLOSED_STDOUT, DIGITS, OUTPUT_ERROR, main
-from biquat.scalar import format_complex
+from biquat.scalar import format_biquaternion, format_complex
 from conftest import OVERFLOWING_SPECTRUM, merged_cluster_matrix, split_cluster_matrix, time_bound
 
 
@@ -103,6 +103,22 @@ class TestNumericCommands:
         code, out, _ = run_cli(capsys, "regular-eig", write_doc(single(E1)))
         assert code == 0
         assert "vector rank = 1" in out
+
+    def test_regular_eig_of_a_1x1_is_its_entry(self, capsys, tmp_path):
+        # X = [1] spans the whole block space: no Schur form, whose eigenvalues
+        # +-1.7e308 here once overflowed the lift, and a residual of exactly 0
+        entries = [[[0, 1e-310], [0, -0.0], [-1, 0], [-1.7e308, 0]]]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"rows": 1, "cols": 1, "entries": entries}))
+        code, out, err = run_cli(capsys, "regular-eig", str(path))
+        entry = Biquaternion(*(complex(*c) for c in entries[0]))
+        assert code == 0 and not err
+        assert out.splitlines() == [
+            f"lambda = {format_biquaternion(entry, DIGITS)}",
+            "residual = 0.000e+00",
+            "vector rank = 1",
+            f"x[0] = {format_biquaternion(Biquaternion(1), DIGITS)}",
+        ]
 
     def test_canonical_document(self, capsys, write_doc):
         code, out, _ = run_cli(capsys, "canonical", write_doc(single(E2)))
@@ -305,8 +321,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "verb, entries, what",
         [
-            # the leading Schur block has eigenvalues +-1.7e308: m22 - m11 overflows
-            ("regular-eig", [[[0, 1e-310], [0, -0.0], [-1, 0], [-1.7e308, 0]]], "a component of the preimage"),
+            # block eigenvalues +-1.7e308: the complex pairs' residuals overflow,
+            # while the regular pair is the entry itself (TestNumericCommands)
+            ("eig", [[[0, 1e-310], [0, -0.0], [-1, 0], [-1.7e308, 0]]], "an eigenpair residual"),
             # A @ X overflows in the residual of the pair
             ("eig", [[[1e154, -1.7e308], [0, 0], [0, 0], [0, 0]]], "an eigenpair residual"),
             (
@@ -482,7 +499,8 @@ class TestStartup:
 
     def test_import_leaves_out_scipy(self):
         # scipy serves Schur forms only, loaded on first use: neither the
-        # import nor a similarity verdict on a simple block spectrum loads it
+        # import nor a similarity verdict nor a regular eigenpair on a simple
+        # block spectrum loads it
         src = os.path.dirname(os.path.dirname(biquat.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         code = (
@@ -490,13 +508,16 @@ class TestStartup:
             "from biquat import E1, BqMatrix\n"
             "loaded = lambda: any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
             "print(loaded())\n"
-            "assert biquat.similar(BqMatrix.diag([E1, 1 + 2 * E1]), BqMatrix.diag([1 + 2 * E1, E1]))\n"
+            "a = BqMatrix.diag([E1, 1 + 2 * E1])\n"
+            "assert biquat.similar(a, BqMatrix.diag([1 + 2 * E1, E1]))\n"
+            "print(loaded())\n"
+            "assert biquat.regular_right_eigenpair(a).residual <= 1e-14\n"
             "print(loaded())"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert proc.stdout.split() == ["False", "False"]
+        assert proc.stdout.split() == ["False", "False", "False"]
 
 
 class TestVerifyCommand:

@@ -78,7 +78,7 @@ class TestConstruction:
                  BqMatrix.from_interleaved_repr(a.interleaved_repr())]
         assert not any(b.components.flags.writeable for b in built)
         big = BqMatrix.from_complex([[1e308]])
-        with np.errstate(over="ignore"), pytest.raises(ValueError):
+        with pytest.raises(OverflowError):
             big + big
 
     def test_getitem(self, rng):
@@ -91,6 +91,31 @@ class TestConstruction:
 
 
 class TestArithmetic:
+    @pytest.mark.parametrize(
+        "op, what",
+        [
+            (lambda a: a + a, "the sum"),
+            (lambda a: a - -a, "the difference"),
+            (lambda a: a @ BqMatrix.from_entries([[10, 0], [0, 1]]), "the product"),
+            (lambda a: a * (2 * E1), "the scalar multiple"),
+            (lambda a: (2 * E1) * a, "the scalar multiple"),
+        ],
+        ids=["add", "sub", "matmul", "mul", "rmul"],
+    )
+    def test_beyond_float_range_is_an_overflow_without_warnings(self, op, what):
+        # a computed result, not an input error; formed under np.errstate
+        a = BqMatrix.from_entries([[Biquaternion(1e308, 1e308), 0], [0, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=f"{what} exceeds the float range"):
+                op(a)
+
+    def test_non_finite_input_is_an_input_error(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            BqMatrix.from_complex([[np.inf]])
+        with pytest.raises(ValueError, match="not finite"):
+            BqMatrix.identity(1) * np.nan
+
     def test_identity_product(self, rng):
         a = sampling.integer_matrix(rng, 3, 3)
         assert BqMatrix.identity(3) @ a == a

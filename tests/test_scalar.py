@@ -282,18 +282,18 @@ class TestFromComplexMatrix:
             Biquaternion.from_complex_matrix([[1, cell], [0, 1]])
 
     @pytest.mark.parametrize(
-        "m",
+        "m, expected",
         [
-            [[1.7e308, 0], [0, 1.7e308]],  # m11 + m22
-            [[1.7e308j, 0], [0, -1.7e308j]],  # m22 - m11
-            [[0, -1.7e308], [1.7e308, 0]],  # m21 - m12
+            ([[1.7e308, 0], [0, 1.7e308]], Biquaternion(1.7e308)),  # m11 + m22
+            ([[1.7e308j, 0], [0, -1.7e308j]], Biquaternion(0, 1.7e308)),  # m22 - m11
+            ([[0, -1.7e308], [1.7e308, 0]], Biquaternion(0, 0, 1.7e308)),  # m21 - m12
         ],
     )
-    def test_overflowing_sum_of_cells_is_numerical(self, m):
+    def test_sum_of_cells_beyond_float_range_is_exact(self, m, expected):
+        # each cell is halved before two are combined
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match="a component of the preimage"):
-                Biquaternion.from_complex_matrix(m)
+            assert Biquaternion.from_complex_matrix(m) == expected
 
 
 class TestPinv:
@@ -608,7 +608,32 @@ class TestValueSemantics:
 
     def test_overflowing_result_is_rejected(self):
         big = Biquaternion(1e308)
-        with pytest.raises(ValueError, match="a0 is not finite"):
+        with pytest.raises(OverflowError, match="the product exceeds the float range"):
             big * 10
-        with pytest.raises(ValueError, match="a0 is not finite"):
+        with pytest.raises(OverflowError, match="the sum exceeds the float range"):
             big + big
+
+    @pytest.mark.parametrize(
+        "op, what",
+        [
+            (lambda a: a + a, "the sum"),
+            (lambda a: 1e308 + a, "the sum"),
+            (lambda a: a - -a, "the difference"),
+            (lambda a: -1e308 - a, "the difference"),
+            (lambda a: a * (2 * E1), "the product"),
+            (lambda a: 10 * a, "the product"),
+            (lambda a: a / 1e-300, "the quotient"),
+        ],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul", "truediv"],
+    )
+    def test_arithmetic_beyond_float_range_is_an_overflow(self, op, what):
+        # a computed result, not an input error
+        with pytest.raises(OverflowError, match=f"{what} exceeds the float range"):
+            op(Biquaternion(1e308, 1e308))
+
+    @pytest.mark.parametrize("operand", [np.inf, complex(0, np.nan)])
+    def test_non_finite_operand_is_an_input_error(self, operand):
+        with pytest.raises(ValueError, match="not finite"):
+            E1 * operand
+        with pytest.raises(ValueError, match="not finite"):
+            Biquaternion(operand)

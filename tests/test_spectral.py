@@ -173,6 +173,77 @@ class TestRegularEigenpair:
             assert pair.vector.rank().twice_rank == 2
 
 
+class TestRegularEigenpairPaths:
+    """Which construction ``regular_right_eigenpair`` takes, and what certifies it."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        calls = []
+        for name in ("schur", "jordan_fingerprint"):
+            original = getattr(clinalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(clinalg, name, counted)
+        return calls
+
+    @staticmethod
+    def schur_pair(a: BqMatrix) -> RegularEigenPair:
+        # the Schur construction on its own: two leading Schur vectors
+        rep = a.block_repr()
+        t, q = clinalg.schur(rep, vectors=True)
+        x = BqMatrix.from_block_repr(q[:, :2])
+        value = Biquaternion.from_complex_matrix(t[:2, :2])
+        return RegularEigenPair(value, x, spectral._pair_residual(rep, x.block_repr(), value))
+
+    def test_one_by_one_is_its_entry(self, factored):
+        entry = Biquaternion(0.5, -2j, 3, 1e-310j)
+        pair = regular_right_eigenpair(single(entry))
+        assert pair == RegularEigenPair(entry, single(ONE), 0.0)
+        assert factored == []
+
+    def test_verdicts_leave_nothing_to_factor(self, rng, factored):
+        a = sampling.unit_matrix(rng, 6, 6)
+        p = sampling.invertible_integer_matrix(rng, 6)
+        assert similar(a, p.inverse() @ a @ p) and diagonalizable(a)
+        before = len(factored)
+        pair = regular_right_eigenpair(a)
+        assert factored[before:] == []
+        assert pair.residual <= 8 * 6 * np.finfo(float).eps * a.norm() * pair.vector.norm()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("k", [0, -300, -100, 100, 300])
+    def test_eigenvector_pairs_pass_the_pair_gate(self, rng, monkeypatch, n, k):
+        def refuse(*args, **kwargs):
+            raise AssertionError("took the Schur path")
+
+        monkeypatch.setattr(clinalg, "schur", refuse)
+        a = sampling.unit_matrix(rng, n, n) * 10.0**k
+        pair = regular_right_eigenpair(a)
+        assert clinalg.rank(pair.vector.block_repr()) == 2
+        assert pair.residual <= 4 * 2 * n * np.finfo(float).eps * a.norm() * pair.vector.norm()
+        assert len(derived_complex_eigenvalues(a, pair)) == 2  # the rank rule's pair gate
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            # J2(1) + J1(3): the block's cluster at 1 is defective, so only one
+            # cluster is semisimple
+            BqMatrix.from_complex([[1, 1, 0], [0, 1, 0], [0, 0, 3]]),
+            BqMatrix.identity(3) * (2 - 1j),  # one semisimple cluster
+            split_cluster_matrix(),  # the Jordan structure is refused
+        ],
+        ids=["defective", "scalar", "refused"],
+    )
+    def test_schur_pairs_are_the_schur_construction(self, a):
+        pair, expected = regular_right_eigenpair(a), self.schur_pair(a)
+        assert pair.value.components == expected.value.components
+        assert pair.vector.components.tobytes() == expected.vector.components.tobytes()
+        assert pair.residual == expected.residual
+
+
 # block image [[1+2i, 2], [2, 1-2i]]: one Jordan block of size 2 at 1
 JORDAN_ELEMENT = Biquaternion(1, 2, 0, 2j)
 
