@@ -11,7 +11,6 @@ from .determinant import (
     cayley_hamilton_residual,
     central_charpoly,
     central_det,
-    central_det_sqrt,
     charpoly_coefficient_scale,
     scaling_exponent_probe,
     triangular_central_det,
@@ -87,7 +86,6 @@ __all__ = [
     "cayley_hamilton_residual",
     "central_charpoly",
     "central_det",
-    "central_det_sqrt",
     "charpoly_coefficient_scale",
     "clinalg",
     "derived_complex_eigenvalues",

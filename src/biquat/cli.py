@@ -61,10 +61,6 @@ def _load(path: str) -> BqMatrix:
         raise ValueError(str(exc)) from exc
 
 
-def _emit(a: BqMatrix) -> None:
-    print(io.dumps(a))
-
-
 def cmd_repr(args) -> int:
     a = _load(args.matrix)
     _print_cmatrix(a.interleaved_repr() if args.small else a.block_repr())
@@ -72,12 +68,12 @@ def cmd_repr(args) -> int:
 
 
 def cmd_inv(args) -> int:
-    _emit(_load(args.matrix).inverse())
+    print(io.dumps(_load(args.matrix).inverse()))
     return 0
 
 
 def cmd_pinv(args) -> int:
-    _emit(_load(args.matrix).pinv())
+    print(io.dumps(_load(args.matrix).pinv()))
     return 0
 
 

@@ -20,12 +20,13 @@ eigenpairs of spectra without two semisimple clusters (:func:`schur` with
 ``vectors=True``).
 
 The routines take finite arrays: the library checks a value once, where it
-enters (:func:`as_cmatrix` for a matrix from outside, and the constructors
-of :mod:`scalar` and :mod:`matrix`) or where a step can take it out of the
-float range.  Here that is every output that can overflow on finite input
-(determinant, pseudoinverse, characteristic polynomial, eigenpairs, Schur
-form and vectors, the powers of a cluster block), which :func:`within_range`
-turns into ``OverflowError``.
+enters (:func:`finite`, through :func:`as_cmatrix` for a complex matrix and
+the constructors of :mod:`matrix`; :mod:`scalar` checks its own components)
+or where a step can take it out of the float range.  Here that is every
+output that can overflow on finite input (determinant, pseudoinverse,
+characteristic polynomial, eigenpairs, Schur form and vectors, the powers of
+a cluster block), which :func:`within_range` turns into ``OverflowError``.
+A LAPACK failure to converge is ``ConvergenceError``, by :func:`_converged`.
 """
 
 from __future__ import annotations
@@ -49,10 +50,7 @@ CLUSTER_TOL = 1e-7
 def as_cmatrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array, rejecting non-finite entries: the
     check for a matrix that enters from outside the library."""
-    m = _matrix(a)
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    return m
+    return finite(_matrix(a))
 
 
 def _matrix(a) -> np.ndarray:
@@ -69,11 +67,28 @@ def _require_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
+def finite(x):
+    """``x`` if all of it is finite; ValueError if not: the one check of a
+    value that enters from outside the library."""
+    if not np.isfinite(x).all():
+        raise ValueError("matrix contains non-finite entries")
+    return x
+
+
 def within_range(x, what: str):
     """``x`` if all of it is finite; OverflowError naming ``what`` if not."""
     if not np.isfinite(x).all():
         raise OverflowError(f"{what} exceeds the float range")
     return x
+
+
+def _converged(what: str, driver, *args, **kwargs):
+    """``driver(*args, **kwargs)``, a LAPACK driver of ``numpy.linalg``, with
+    its failure to converge (``LinAlgError``) raised as ConvergenceError."""
+    try:
+        return driver(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{what} failed: {exc}") from exc
 
 
 def det(a) -> complex:
@@ -109,7 +124,7 @@ def singular_values(a) -> np.ndarray:
     m = _matrix(a)
     if 0 in m.shape:
         return np.zeros(0)
-    return np.linalg.svd(m, compute_uv=False)
+    return _converged("the SVD", np.linalg.svd, m, compute_uv=False)
 
 
 def rank(a) -> int:
@@ -128,7 +143,7 @@ def pinv(a) -> np.ndarray:
     """
     m = _matrix(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.linalg.pinv(m, rcond=DEFAULT_TOL)
+        p = _converged("the SVD", np.linalg.pinv, m, rcond=DEFAULT_TOL)
     return within_range(p, "the pseudoinverse")
 
 
@@ -143,10 +158,7 @@ def eig(a) -> tuple[np.ndarray, np.ndarray]:
     """
     m = _matrix(a)
     _require_square(m)
-    try:
-        w, v = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    w, v = _converged("eigenvalue iteration", np.linalg.eig, m)
     within_range(w, "an eigenvalue")
     within_range(v, "an eigenvector")
     order = np.lexsort((w.imag, w.real))
@@ -161,10 +173,7 @@ def eigvals(a) -> np.ndarray:
     """
     m = _matrix(a)
     _require_square(m)
-    try:
-        w = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    w = _converged("eigenvalue iteration", np.linalg.eigvals, m)
     within_range(w, "an eigenvalue")
     return w[np.lexsort((w.imag, w.real))]
 

@@ -2,8 +2,8 @@
 
 The central determinant of a square matrix is the ordinary complex
 determinant of its block representation.  It is the unique choice (up to the
-alternative square-root convention, see :func:`central_det_sqrt`) that is
-multiplicative, normalizes the identity to 1, and detects invertibility.
+alternative convention of its square root) that is multiplicative,
+normalizes the identity to 1, and detects invertibility.
 
 The central characteristic polynomial ``det(lam*I - block_repr(A))`` has
 degree 2n and annihilates the matrix itself (Cayley-Hamilton), which
@@ -28,7 +28,7 @@ from numpy.polynomial import Polynomial
 from . import clinalg
 from .errors import NotTriangularError
 from .matrix import BqMatrix
-from .scalar import Biquaternion, principal_sqrt
+from .scalar import Biquaternion
 
 # Largest relative error at which scaling_exponent_probe accepts an exponent.
 _EXPONENT_TOL = 1e-6
@@ -38,16 +38,6 @@ def central_det(a: BqMatrix) -> complex:
     """Determinant of the block representation; nonzero iff A is invertible."""
     a._require_square()
     return clinalg.det(a.block_repr())
-
-
-def central_det_sqrt(a: BqMatrix) -> complex:
-    """Principal square root of the central determinant.
-
-    An alternative normalization (degree n instead of 2n in the entries);
-    the branch is ambiguous up to sign, so the principal root is returned
-    purely as a convenience accessor.
-    """
-    return principal_sqrt(central_det(a))
 
 
 def central_charpoly(a: BqMatrix) -> Polynomial:

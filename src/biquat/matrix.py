@@ -3,16 +3,17 @@
 A ``BqMatrix`` is stored as four complex component matrices ``A0..A3`` with
 ``A = A0 + A1*e1 + A2*e2 + A3*e3`` (structure-of-arrays, shape ``(4, m, n)``),
 so the scalar algebra's tables of :mod:`scalar` apply to whole component
-arrays: :func:`scalar.image` of ``A0..A3`` gives the four blocks of both
-complex representations, :func:`scalar.preimage` lifts them back, and
+arrays: :func:`scalar.image` of ``A0..A3`` gives the four blocks of the
+block representation, :func:`scalar.preimage` lifts them back, and
 :func:`scalar.product` with ``np.matmul`` is the matrix product.
 
 * ``block_repr``:   ``[[A0+i*A1, -(A2+i*A3)], [A2-i*A3, A0-i*A1]]``  (2m x 2n)
 * ``interleaved_repr``: the 2x2 image of each entry, laid out entrywise.
 
-The two are linked by perfect-shuffle permutations
-(:func:`shuffle_permutations`).  Norms are taken on the components without
-forming a representation, by :func:`clinalg.norms` and
+The interleaved layout is the block one with its rows and columns perfectly
+shuffled, and is formed and lifted that way; :func:`shuffle_permutations`
+builds the same shuffle as 0/1 matrices, separately.  Norms are taken on the
+components without forming a representation, by :func:`clinalg.norms` and
 ``|block_repr(A)|_F**2 = 2 * sum_k |A_k|_F**2`` (entrywise,
 ``|x + i*y|**2 + |x - i*y|**2 = 2 * (|x|**2 + |y|**2)``).  Inversion,
 pseudoinversion and rank are computed on the block representation and
@@ -25,12 +26,12 @@ stands, and only a doubtful one is ranked by SVD.
 Components are checked for finiteness once per value: where a matrix enters
 (the constructor, :meth:`BqMatrix.from_block_repr`,
 :meth:`BqMatrix.from_interleaved_repr`), where a non-finite one is an input
-error (ValueError), and where one is formed by a step that can overflow
-(sums, products, scalar multiples, the block and interleaved
-representations, the inverse and pseudoinverse), which raises
-OverflowError.  A matrix the library builds from checked values by steps
-that cannot overflow (negation, transposes, columns, the lift of finite
-cells) is adopted as it is, without a copy or a second check.
+error (ValueError, by :func:`clinalg.finite`), and where one is formed by a
+step that can overflow (sums, products, scalar multiples, the block
+representation, the inverse and pseudoinverse), which raises OverflowError.
+A matrix the library builds from checked values by steps that cannot
+overflow (negation, transposes, columns, the lift of finite cells) is
+adopted as it is, without a copy or a second check.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import clinalg
-from .errors import DimensionError, NotInvertibleError
+from .errors import ConvergenceError, DimensionError, NotInvertibleError
 from .scalar import Biquaternion, image, preimage, product
 
 
@@ -66,9 +67,7 @@ class HalfRank:
         return Fraction(self.twice_rank, 2)
 
     def __str__(self) -> str:
-        if self.twice_rank % 2:
-            return f"{self.twice_rank}/2"
-        return str(self.twice_rank // 2)
+        return str(self.value)
 
     def _as_fraction(self, other) -> Fraction:
         if isinstance(other, HalfRank):
@@ -100,7 +99,7 @@ class BqMatrix:
                 f"expected component array of shape (4, m, n), got {c.shape}"
             )
         c.setflags(write=False)
-        self._c = _finite(c)
+        self._c = clinalg.finite(c)
 
     @classmethod
     def _wrap(cls, c: np.ndarray) -> "BqMatrix":
@@ -186,9 +185,6 @@ class BqMatrix:
             return BqMatrix(sub)
         raise TypeError("index with a (row, col) pair")
 
-    def col(self, j: int) -> "BqMatrix":
-        return BqMatrix(self._c[:, :, j : j + 1])
-
     def _columns(self) -> list["BqMatrix"]:
         """Every column as an n x 1 matrix viewing this one's read-only,
         already checked components: no copy and no second check."""
@@ -200,8 +196,9 @@ class BqMatrix:
         return self.shape == other.shape and bool(np.array_equal(self._c, other._c))
 
     def __hash__(self):
-        # By value, as __eq__ compares: + 0.0 turns -0.0 into 0.0.
-        return hash((self.shape, (self._c + 0.0).tobytes()))
+        # By value, as __eq__ compares, from the shape and at most 8 evenly
+        # strided components; hash(-0.0) == hash(0.0), as -0.0 == 0.0.
+        return hash((self._c.shape, *self._c.flat[:: self._c.size // 8 + 1].tolist()))
 
     def allclose(self, other: "BqMatrix", tol: float = clinalg.DEFAULT_TOL) -> bool:
         """Componentwise equality within ``tol`` times the larger norm."""
@@ -303,27 +300,26 @@ class BqMatrix:
     @classmethod
     def from_block_repr(cls, m) -> "BqMatrix":
         """Unique preimage of a 2m x 2n complex matrix under ``block_repr``."""
-        return cls._wrap(_finite(_preimage(_even(m, "block"))))
+        return cls._wrap(_preimage(clinalg.finite(_even(m, "block"))))
 
     def interleaved_repr(self) -> np.ndarray:
         """The 2m x 2n representation whose (i, j) 2x2 block is the complex
-        image of entry (i, j).
+        image of entry (i, j): :meth:`block_repr` perfectly shuffled, row k
+        beside row m + k and column k beside column n + k.
 
         Raises:
             OverflowError: as :meth:`block_repr`, whose cells it holds.
         """
         m, n = self.shape
-        out = np.zeros((2 * m, 2 * n), dtype=complex)
-        with np.errstate(over="ignore"):  # within_range reports overflow
-            out[0::2, 0::2], out[0::2, 1::2], out[1::2, 0::2], out[1::2, 1::2] = image(self._c)
-        return clinalg.within_range(out, "the interleaved representation")
+        return self.block_repr()[np.ix_(_shuffle(m), _shuffle(n))]
 
     @classmethod
     def from_interleaved_repr(cls, m) -> "BqMatrix":
         """Unique preimage of a 2m x 2n complex matrix under
-        ``interleaved_repr``."""
+        ``interleaved_repr``: that of the unshuffled block representation."""
         m = _even(m, "interleaved")
-        return cls._wrap(_finite(np.array(preimage(m[0::2, 0::2], m[0::2, 1::2], m[1::2, 0::2], m[1::2, 1::2]))))
+        rows, cols = (np.argsort(_shuffle(k // 2)) for k in m.shape)
+        return cls.from_block_repr(m[np.ix_(rows, cols)])
 
     # -- lowered computations ----------------------------------------------------------
 
@@ -338,6 +334,7 @@ class BqMatrix:
         Raises:
             NotInvertibleError: if the block representation is numerically
                 rank deficient.
+            ConvergenceError: if LU fails where the rank rule finds full rank.
             OverflowError: if the inverse lies beyond the float range.
         """
         n = self._require_square()
@@ -354,8 +351,8 @@ class BqMatrix:
         if not certified:
             if clinalg.rank(rep) < 2 * n:
                 raise NotInvertibleError("matrix is singular over the biquaternions")
-            if inv is None:
-                inv = np.linalg.inv(rep)  # an exact zero pivot the rank rule misses: LinAlgError
+            if inv is None:  # an exact zero pivot that the rank rule misses
+                raise ConvergenceError("LU failed on a block representation of full rank")
             clinalg.within_range(inv, "the inverse")
         return BqMatrix._wrap(_preimage(inv))
 
@@ -379,14 +376,6 @@ class BqMatrix:
         return self.rows
 
 
-def _finite(c: np.ndarray) -> np.ndarray:
-    """``c``, the components of a matrix being built, if all of them are
-    finite: the one check of each matrix value that enters from outside."""
-    if not np.isfinite(c).all():
-        raise ValueError("matrix contains non-finite components")
-    return c
-
-
 def _in_range(c: np.ndarray, what: str) -> "BqMatrix":
     """The matrix with components ``c``, computed from finite values: a
     component that is not finite left the float range (OverflowError naming
@@ -395,12 +384,17 @@ def _in_range(c: np.ndarray, what: str) -> "BqMatrix":
 
 
 def _even(m, name: str) -> np.ndarray:
-    # A 2m x 2n complex matrix, unchecked: a non-finite cell gives a
-    # non-finite component, which the lifted matrix's check rejects.
+    # A 2m x 2n complex matrix, not yet checked for finiteness.
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
         raise DimensionError(f"{name} representation must be 2-D with even dims, got {m.shape}")
     return m
+
+
+def _shuffle(k: int) -> np.ndarray:
+    # The perfect shuffle 0, k, 1, k + 1, ...: the block layout's index of
+    # each interleaved row (or column) of a matrix with k rows (columns).
+    return np.arange(2 * k).reshape(2, k).T.ravel()
 
 
 def _preimage(m: np.ndarray) -> np.ndarray:

@@ -81,8 +81,7 @@ def adjoint_vector(x: BqMatrix) -> np.ndarray:
     """
     if x.cols != 1:
         raise DimensionError(f"expected a column, got shape {x.shape}")
-    m11, _, m21, _ = image(x.components[:, :, 0])
-    return np.concatenate([m11, m21])
+    return x.block_repr()[:, 0]
 
 
 def _lift_columns(y: np.ndarray) -> BqMatrix:

@@ -305,18 +305,34 @@ class TestExitCodes:
         assert code == 3 and not out
         assert err.startswith(f"error: numerical: {verb}:") and "float range" in err
 
-    @pytest.mark.parametrize("verb", ["rank", "repr", "inv", "eig"])
+    @pytest.mark.parametrize("verb", ["rank", "repr", "repr --small", "inv", "eig"])
     def test_overflowing_block_is_numerical(self, capsys, tmp_path, verb):
         # a zero divisor with a0 = 1e308, a1 = 1e308 i: the document parses,
-        # but the block cell a0 - i*a1 = 2e308 does not exist
+        # but the block cell a0 - i*a1 = 2e308 does not exist; the
+        # interleaved layout is the shuffled block one, so it names that
         path = tmp_path / "zero-divisor.json"
         path.write_text('{"rows": 1, "cols": 1, "entries": [[[1e308, 0], [0, 1e308], [0, 0], [0, 0]]]}')
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, verb, str(path))
+            code, out, err = run_cli(capsys, *verb.split(), str(path))
         assert code == 3 and not out
-        assert err == f"error: numerical: {verb}: the block representation exceeds the float range\n"
+        command = verb.split()[0]
+        assert err == f"error: numerical: {command}: the block representation exceeds the float range\n"
         assert not caught  # no numpy RuntimeWarning either
+
+    @pytest.mark.parametrize("verb, driver", [("rank", "svd"), ("pinv", "pinv"), ("inv", "inv")])
+    def test_lapack_failure_is_numerical(self, capsys, tmp_path, monkeypatch, verb, driver):
+        # LinAlgError is a ValueError, but a driver that fails on a valid
+        # invertible document is a numerical failure, not a parse error
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{driver} did not converge")
+
+        path = tmp_path / "invertible.json"  # 1 + e1, weak norm 2
+        path.write_text('{"rows": 1, "cols": 1, "entries": [[[1, 0], [1, 0], [0, 0], [0, 0]]]}')
+        monkeypatch.setattr(np.linalg, driver, fail)
+        code, out, err = run_cli(capsys, verb, str(path))
+        assert code == 3 and not out
+        assert err.startswith(f"error: numerical: {verb}:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "verb, entries, what",

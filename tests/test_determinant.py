@@ -14,7 +14,6 @@ from biquat import (
     cayley_hamilton_residual,
     central_charpoly,
     central_det,
-    central_det_sqrt,
     charpoly_coefficient_scale,
     clinalg,
     sampling,
@@ -121,11 +120,6 @@ class TestCentralDet:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError):
                 central_det(single(entry))
-
-    def test_sqrt_accessor(self):
-        assert central_det_sqrt(BqMatrix.identity(2)) == 1
-        val = central_det_sqrt(single(2 * E2))  # weak norm 4
-        assert val == 2
 
 
 class TestCentralCharpoly:

@@ -50,6 +50,20 @@ class TestConstruction:
         assert c == d and hash(c) == hash(d) and len({c, d}) == 1
         assert len({a, BqMatrix.from_entries([[1e-300]])}) == 2
 
+    def test_hash_reads_a_few_entries_and_equality_decides(self, rng):
+        # the hash strides over at most 8 components: every signed zero,
+        # read or skipped, hashes as 0.0, and a skipped entry that differs
+        # leaves the hash alone while the matrices stay two keys
+        c = sampling.integer_components(rng, (4, 4, 4))
+        c[:, ::2, ::3] = 0.0
+        signed = c.copy()
+        signed[signed == 0] = complex(-0.0, -0.0)
+        a, b = BqMatrix(c), BqMatrix(signed)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        c[0, 0, 1] += 1  # component 1 of 64: the stride is 9
+        other = BqMatrix(c)
+        assert hash(other) == hash(a) and other != a and len({a, other}) == 2
+
     def test_ragged_rejected(self):
         with pytest.raises(DimensionError):
             BqMatrix.from_entries([[ONE], [ONE, E1]])
@@ -87,7 +101,7 @@ class TestConstruction:
         sub = a[0:2, 1:3]
         assert sub.shape == (2, 2)
         assert sub.entry(0, 0) == a.entry(0, 1)
-        assert a.col(2).shape == (3, 1)
+        assert a[:, 2:3].shape == (3, 1)
 
 
 class TestArithmetic:
@@ -264,6 +278,12 @@ class TestInterleavedRepr:
     def test_inverse_map(self, rng):
         a = sampling.integer_matrix(rng, 2, 3)
         assert BqMatrix.from_interleaved_repr(a.interleaved_repr()) == a
+
+    def test_lift_rejects_odd_dimensions_and_non_finite_cells(self):
+        with pytest.raises(DimensionError, match="interleaved"):
+            BqMatrix.from_interleaved_repr(np.eye(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            BqMatrix.from_interleaved_repr(np.diag([1, 1, np.inf, 1]))
 
 
 class TestShufflePermutations:
@@ -559,6 +579,9 @@ class TestScaleFree:
 class TestHalfRank:
     def test_str_integer(self):
         assert str(HalfRank(4)) == "2"
+
+    def test_str_half_integer(self):
+        assert [str(HalfRank(k)) for k in (0, 1, 3)] == ["0", "1/2", "3/2"]
 
     def test_ordering(self):
         assert HalfRank(1) < HalfRank(2) < 2
