@@ -43,7 +43,6 @@ from .scalar import (
     ScalarFlags,
     format_biquaternion,
     parse_biquaternion,
-    principal_sqrt,
 )
 from .spectral import (
     EigenPair,
@@ -56,7 +55,6 @@ from .spectral import (
     similar,
     similar_to_complex,
 )
-from .verify import LawResult, VerifyReport, verify_suite
 
 __version__ = "0.1.0"
 
@@ -68,8 +66,6 @@ __all__ = [
     "RegularEigenPair",
     "CanonicalCase",
     "ScalarFlags",
-    "LawResult",
-    "VerifyReport",
     "ONE",
     "E1",
     "E2",
@@ -94,7 +90,6 @@ __all__ = [
     "frame_reconstruct",
     "io",
     "parse_biquaternion",
-    "principal_sqrt",
     "recon_frame",
     "regular_right_eigenpair",
     "repr_factor",
@@ -105,5 +100,4 @@ __all__ = [
     "similar",
     "similar_to_complex",
     "triangular_central_det",
-    "verify_suite",
 ]

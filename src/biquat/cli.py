@@ -39,7 +39,6 @@ from .spectral import (
     similar,
     similar_to_complex,
 )
-from .verify import verify_suite
 
 DIGITS = 17
 OUTPUT_ERROR = 4
@@ -165,6 +164,7 @@ def cmd_similar_to_complex(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import verify_suite  # loaded only by this verb
     report = verify_suite(seed=args.seed, trials=args.trials, size=args.size)
     sys.stdout.write(report.render())
     return 0 if report.all_passed else 3

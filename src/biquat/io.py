@@ -53,11 +53,13 @@ def _bad_entry(entries, cols: int) -> str:
 
 def from_document(doc: dict) -> BqMatrix:
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
+        rows, cols = doc["rows"], doc["cols"]
         entries = doc["entries"]
         count = len(entries)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
+    if type(rows) is not int or type(cols) is not int:  # JSON integers: not 1.9, "1" or true
+        raise ValueError(f"matrix document dimensions are not integers: {rows!r}, {cols!r}")
     if rows < 0 or cols < 0:
         raise ValueError("matrix document has negative dimensions")
     if count != rows * cols:

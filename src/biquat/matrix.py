@@ -17,11 +17,11 @@ components without forming a representation, by :func:`clinalg.norms` and
 ``|block_repr(A)|_F**2 = 2 * sum_k |A_k|_F**2`` (entrywise,
 ``|x + i*y|**2 + |x - i*y|**2 = 2 * (|x|**2 + |y|**2)``).  Inversion,
 pseudoinversion and rank are computed on the block representation and
-lifted back; rank comes out as an exact half-integer (:class:`HalfRank`)
-because the block representation of a zero-divisor-laden matrix can have
-odd rank.  Inversion pays for one LU factorization: an inverse whose norm
-certifies a condition number well inside the rank rule is accepted as it
-stands, and only a doubtful one is ranked by SVD.
+lifted back; rank comes out as an exact half-integer ``Fraction``
+(:class:`HalfRank`) because the block representation of a zero-divisor-laden
+matrix can have odd rank.  Inversion pays for one LU factorization: an
+inverse whose norm certifies a condition number well inside the rank rule is
+accepted as it stands, and only a doubtful one is ranked by SVD.
 
 Components are checked for finiteness once per value: where a matrix enters
 (the constructor, :meth:`BqMatrix.from_block_repr`,
@@ -36,8 +36,6 @@ adopted as it is, without a copy or a second check.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,44 +45,18 @@ from .errors import ConvergenceError, DimensionError, NotInvertibleError
 from .scalar import Biquaternion, image, preimage, product
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class HalfRank:
-    """Rank of a biquaternion matrix, an exact half-integer.
+class HalfRank(Fraction):
+    """Rank of a biquaternion matrix: half the block representation's rank, exact."""
 
-    Stored as twice the rank so fractional values (odd block-representation
-    rank) stay exact bookkeeping rather than floats.
-    """
-
-    twice_rank: int
-
-    def __post_init__(self):
-        if self.twice_rank < 0:
+    def __new__(cls, twice_rank: int, denominator: int = 2):
+        # Fraction's copy and pickle rebuild a value as cls(numerator, denominator).
+        if twice_rank < 0:
             raise ValueError("rank cannot be negative")
+        return super().__new__(cls, twice_rank, denominator)
 
     @property
-    def value(self) -> Fraction:
-        return Fraction(self.twice_rank, 2)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def _as_fraction(self, other) -> Fraction:
-        if isinstance(other, HalfRank):
-            return other.value
-        return Fraction(other)
-
-    def __eq__(self, other) -> bool:
-        try:
-            return self.value == self._as_fraction(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        return self.value < self._as_fraction(other)
-
-    def __hash__(self):
-        return hash(self.value)
+    def twice_rank(self) -> int:
+        return 2 * self.numerator // self.denominator
 
 
 class BqMatrix:

@@ -173,11 +173,6 @@ class Biquaternion:
         comps, unit = self._scaled()
         return math.sqrt(sum(abs(c) ** 2 for c in comps)) / unit
 
-    def is_complex(self) -> bool:
-        """True when ``|e-part| <= DEFAULT_TOL * |a|``: the image minus ``a0*I``
-        is negligible, the full-kernel rule of :func:`clinalg.jordan_fingerprint`."""
-        return _is_central(self._scaled()[0])
-
     def __bool__(self) -> bool:
         return any(self.components)
 
@@ -317,7 +312,7 @@ class Biquaternion:
 
         Central elements are their own form; otherwise ``a0 + tau*e1``, or
         ``a0 - e2/2 + i*e3/2`` when the e-part is isotropic.  The rank rule
-        ``clinalg.DEFAULT_TOL`` decides the central case (:meth:`is_complex`),
+        ``clinalg.DEFAULT_TOL`` decides the central case (a negligible e-part),
         the cluster rule ``clinalg.CLUSTER_TOL`` the null case: the image's
         eigenvalues ``a0 +/- i*tau`` merge, ``|2*tau| <= CLUSTER_TOL*sqrt(2)*|a|``.
         Every decision is taken on the element scaled by a power of two, so it
@@ -441,7 +436,8 @@ def _computed(c, what: str) -> Biquaternion:
 
 
 def _is_central(comps) -> bool:
-    """The rule of :meth:`Biquaternion.is_complex`, on scaled components."""
+    """``|e-part| <= DEFAULT_TOL * |a|`` on scaled components: the image minus
+    ``a0*I`` is negligible, the full-kernel rule of :func:`clinalg.jordan_fingerprint`."""
     a0, a1, a2, a3 = comps
     vec = abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2
     return vec <= clinalg.DEFAULT_TOL**2 * (abs(a0) ** 2 + vec)

@@ -205,19 +205,25 @@ class TestExitCodes:
         assert "parse" in err
 
     @pytest.mark.parametrize(
-        "text",
+        "text, named",
         [
-            '{"rows": 1, "cols": 1, "entries": [5]}',
-            '{"rows": 1, "cols": 1, "entries": [[[null, 0], [0, 0], [0, 0], [0, 0]]]}',
+            pytest.param(text, named, id=text)
+            for text, named in [
+                ('{"rows": 1, "cols": 1, "entries": [5]}', "entry (0, 0)"),
+                ('{"rows": 1, "cols": 1, "entries": [[[null, 0], [0, 0], [0, 0], [0, 0]]]}', "entry (0, 0)"),
+                ('{"rows": 1.9, "cols": 1, "entries": [[[1, 0], [0, 1], [0, 0], [0, 0]]]}', "matrix document dimensions"),
+                ('{"rows": true, "cols": 1, "entries": [[[1, 0], [0, 1], [0, 0], [0, 0]]]}', "matrix document dimensions"),
+                ('{"rows": "1", "cols": 1, "entries": [[[1, 0], [0, 1], [0, 0], [0, 0]]]}', "matrix document dimensions"),
+            ]
         ],
     )
-    def test_malformed_document_is_a_parse_error(self, capsys, monkeypatch, text):
+    def test_malformed_document_is_a_parse_error(self, capsys, monkeypatch, text, named):
         import io as _stdio
 
         monkeypatch.setattr("sys.stdin", _stdio.StringIO(text))
         code, _, err = run_cli(capsys, "inv", "-")
         assert code == 1
-        assert err.startswith("error: parse: inv: entry (0, 0)")
+        assert err.startswith(f"error: parse: inv: {named}")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "rank", "/nonexistent/file.json")
@@ -535,6 +541,21 @@ class TestStartup:
         )
         assert proc.stdout.split() == ["False", "False", "False"]
 
+    def test_cli_import_leaves_out_verify(self):
+        # only the verify verb loads the law suite, and it still runs
+        src = os.path.dirname(os.path.dirname(biquat.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys\n"
+            "import biquat.cli\n"
+            "print('biquat.verify' in sys.modules, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+            "sys.exit(biquat.cli.main(['verify', '--trials', '2', '--size', '2']))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "False False"
+        assert "result: PASS" in proc.stdout.splitlines()
+
 
 class TestVerifyCommand:
     def test_deterministic_and_passing(self, capsys):
@@ -543,3 +564,11 @@ class TestVerifyCommand:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "result: PASS" in out1
+
+    def test_failed_laws_exit_3_with_the_report(self, capsys, monkeypatch):
+        det = clinalg.det
+        monkeypatch.setattr(clinalg, "det", lambda m: det(m).conjugate())
+        code, out, err = run_cli(capsys, "verify", "--trials", "5")
+        assert code == 3 and err == ""
+        assert "result: FAIL" in out.splitlines()
+        assert any(line.startswith("[FAIL] det.") for line in out.splitlines())

@@ -117,6 +117,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=re.escape(named)):
             io.from_document({"rows": 1, "cols": len(entries), "entries": entries})
 
+    @pytest.mark.parametrize("rows", [1.9, True, "1"])
+    def test_dimensions_are_json_integers(self, rows):
+        entries = [[[1, 0], [0, 1], [0, 0], [0, 0]]]
+        with pytest.raises(ValueError, match="dimensions are not integers"):
+            io.loads(json.dumps({"rows": rows, "cols": 1, "entries": entries}))
+
     def test_entries_not_a_list(self):
         with pytest.raises(ValueError):
             io.from_document({"rows": 1, "cols": 1, "entries": 5})

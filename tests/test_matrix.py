@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -507,7 +509,8 @@ class TestRank:
     def test_half_rank_zero_divisor(self):
         r = BqMatrix.from_entries([[ZD]]).rank()
         assert r == HalfRank(1)
-        assert r.value == Fraction(1, 2)
+        assert r == Fraction(1, 2) and isinstance(r, Fraction)
+        assert type(r.twice_rank) is int and r.twice_rank == 1
         assert str(r) == "1/2"
 
     def test_subadditivity(self, rng):
@@ -593,3 +596,9 @@ class TestHalfRank:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             HalfRank(-1)
+
+    @pytest.mark.parametrize("twice", [0, 1, 3, 4])
+    def test_copies_keep_the_type(self, twice):
+        r = HalfRank(twice)
+        for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(c) is HalfRank and c.twice_rank == twice and c == r

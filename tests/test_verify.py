@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
-from biquat import verify_suite
+from biquat import clinalg
+from biquat.verify import verify_suite
 
 
 class TestVerifySuite:
@@ -36,3 +39,16 @@ class TestVerifySuite:
         report = verify_suite(seed=5, trials=2, size=2)
         law = next(l for l in report.laws if l.name == "det.scaling-exponent")
         assert law.note == "measured exponent n"
+
+    def test_a_raising_trial_is_a_failed_law(self, monkeypatch):
+        # A conjugated determinant makes the scaling probe raise; the law
+        # fails with an infinite residual and the suite still reports.
+        det = clinalg.det
+        monkeypatch.setattr(clinalg, "det", lambda m: det(m).conjugate())
+        report = verify_suite(seed=42, trials=5, size=3)
+        failing = {law.name: law for law in report.laws if not law.passed}
+        assert "det.triangular" in failing and not report.all_passed
+        law = failing["det.scaling-exponent"]
+        assert math.isinf(law.max_residual)
+        assert law.note.startswith("raised ValueError: measured ratio")
+        assert "result: FAIL" in report.render().splitlines()
