@@ -49,10 +49,13 @@ class HalfRank(Fraction):
     """Rank of a biquaternion matrix: half the block representation's rank, exact."""
 
     def __new__(cls, twice_rank: int, denominator: int = 2):
-        # Fraction's copy and pickle rebuild a value as cls(numerator, denominator).
+        # Fraction copies as cls(numerator, denominator); __reduce__ pickles alike on every Python.
         if twice_rank < 0:
             raise ValueError("rank cannot be negative")
         return super().__new__(cls, twice_rank, denominator)
+
+    def __reduce__(self):
+        return type(self), (self.twice_rank,)
 
     @property
     def twice_rank(self) -> int:

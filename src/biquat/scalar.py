@@ -436,8 +436,7 @@ def _computed(c, what: str) -> Biquaternion:
 
 
 def _is_central(comps) -> bool:
-    """``|e-part| <= DEFAULT_TOL * |a|`` on scaled components: the image minus
-    ``a0*I`` is negligible, the full-kernel rule of :func:`clinalg.jordan_fingerprint`."""
+    """``|e-part| <= DEFAULT_TOL * |a|`` on scaled components: the full-kernel rule."""
     a0, a1, a2, a3 = comps
     vec = abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2
     return vec <= clinalg.DEFAULT_TOL**2 * (abs(a0) ** 2 + vec)
