@@ -128,9 +128,8 @@ def cmd_canonical(args) -> int:
 
 
 def _print_fingerprint(label: str, a: BqMatrix) -> None:
-    # Jordan structure is decided by tolerance clustering; printing it lets
-    # users audit borderline verdicts near multiple eigenvalues.  The verdict
-    # has just read it, so jordan_structure returns that value unchanged.
+    # Printing the tolerance-based structure lets users audit borderline verdicts;
+    # it was read before the verdict, so jordan_structure returns that value.
     print(f"fingerprint {label}:")
     for lam, weyr in jordan_structure(a).clusters:
         print(f"  eigenvalue {format_complex(lam, DIGITS)}  weyr {','.join(map(str, weyr))}")
@@ -138,6 +137,8 @@ def _print_fingerprint(label: str, a: BqMatrix) -> None:
 
 def cmd_similar(args) -> int:
     a, b = _load(args.matrix_a), _load(args.matrix_b)
+    # Fingerprints first: a refused operand ends the command before any output.
+    jordan_structure(a), jordan_structure(b)
     print("similar" if similar(a, b) else "not similar")
     _print_fingerprint("A", a)
     _print_fingerprint("B", b)

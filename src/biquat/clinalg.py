@@ -280,7 +280,7 @@ def schur(a, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
 class JordanStructure:
     """The result of :func:`jordan_fingerprint`: its ``(lam, weyr)`` clusters,
     each cluster's Jordan ``(block size, count)`` pairs, and the matrix's
-    Frobenius norm (:func:`matrix_scale`), so a comparison needs no second norm."""
+    Frobenius norm (:func:`matrix_scale`), so a caller's tolerance needs no second norm."""
 
     clusters: tuple[tuple[complex, tuple[int, ...]], ...]
     blocks: tuple[tuple[tuple[int, int], ...], ...]

@@ -13,6 +13,8 @@ per operand, :func:`jordan_structure`, from eigenvalues only.  It is kept
 for the last two operands, keyed by the matrix value, so ``similar(x, y)``
 followed by ``diagonalizable(x)`` computes two fingerprints, not three; an
 error is not kept, and a refused matrix is refused again on every call.
+:func:`similar` reads the central traces first; a pair they set apart
+computes (or displaces) no structure.
 
 A *regular* right eigenpair is one whose eigenvector has rank 1 as a
 quaternion column (block-representation rank 2); its eigenvalue is a full
@@ -28,8 +30,7 @@ takes ``Y`` by the first path that applies:
   operand's :func:`jordan_structure`: an eigenvector of each of two of them
   by inverse iteration, orthonormalised by QR, with ``T`` their Rayleigh
   quotient.  No Schur vectors are formed, so a simple spectrum loads no
-  scipy.  The pair
-  is kept only if its residual is at backward-error level,
+  scipy.  The pair is kept only if its residual is at backward-error level,
   ``4 * 2n * eps * |A| * |X|``.
 * Schur: the leading two vectors of one complex Schur form (``zgees`` with
   vectors).  Spectra without two semisimple clusters (a Jordan block at
@@ -115,12 +116,12 @@ def right_eigenpairs(a: BqMatrix) -> list[EigenPair]:
     rep = a.block_repr()
     w, v = clinalg.eig(rep)
     x = _lift_columns(v)
-    # One product for every column: lam is central, so block(X * lam) is
-    # block(X) * lam, and columns k and 2n + k of block(X) are block(X_k).
-    bx = x.block_repr()
+    # One product for every column: lam is central, and the lift leaves the
+    # second block column of block(X) zero; column k of the first is X_k's.
+    bx = x.block_repr()[:, : 2 * n]
     with np.errstate(over="ignore", invalid="ignore"):  # within_range reports overflow
-        r = clinalg.within_range(rep @ bx - bx * np.concatenate([w, w]), "an eigenpair residual")
-    residuals = clinalg.norms(r.reshape(2 * n, 2, 2 * n), axis=(0, 1))
+        r = clinalg.within_range(rep @ bx - bx * w, "an eigenpair residual")
+    residuals = clinalg.norms(r, axis=0)
     return [
         EigenPair(lam, col, res)
         for lam, col, res in zip(w.tolist(), x._columns(), residuals.tolist())
@@ -252,17 +253,23 @@ def similar(a: BqMatrix, b: BqMatrix) -> bool:
 
     Equivalent to similarity of the block representations over the complex
     numbers, decided by comparing Jordan fingerprints under tolerance
-    pairing of eigenvalue clusters.
+    pairing of eigenvalue clusters, ``gap = CLUSTER_TOL * max(|A|, |B|)``.
+    Clusters paired with equal sizes put the block traces ``2 tr(A0)`` within
+    ``2n * gap``, so ``|tr A0 - tr B0| > 2n * gap``, twice that, is False in
+    O(n) without either structure; a trace that is not finite is no evidence.
 
     Raises:
-        ConvergenceError, OverflowError: see :func:`clinalg.jordan_fingerprint`.
+        ConvergenceError, OverflowError: see :func:`clinalg.jordan_fingerprint`; only if the traces agree.
     """
-    a._require_square()
-    b._require_square()
-    if a.shape != b.shape:
+    n = a._require_square()
+    if a.shape != b.shape:  # so b is square too
         raise DimensionError(f"size mismatch: {a.shape} vs {b.shape}")
+    gap = clinalg.CLUSTER_TOL * max(a.norm(), b.norm(), 1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = a.components[0].trace(), b.components[0].trace()
+        if np.isfinite(traces).all() and abs(traces[0] - traces[1]) > 2 * n * gap:
+            return False
     sa, sb = jordan_structure(a), jordan_structure(b)
-    gap = clinalg.CLUSTER_TOL * max(sa.scale, sb.scale, 1e-300)
     return clinalg.fingerprints_match(sa.clusters, sb.clusters, gap)
 
 

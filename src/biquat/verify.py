@@ -395,6 +395,13 @@ def verify_suite(seed: int = 42, trials: int = 50, size: int = 3) -> VerifyRepor
         bad += 0 if similar(conj, a) else 1
         bad += 0 if similar(a, a) else 1
         bad += 1 if similar(a, shifted) else 0
+        if n >= 2:  # one trace, two Jordan structures: lam*I + E01 against lam*I, each
+            # conjugated by I + N, N = z*E10, so N @ N == 0 and (I + N)^-1 == I - N exactly
+            scalar = BqMatrix.identity(n) * complex(a.components[0, 0, 0])
+            step, nil = np.zeros((n, n)), np.zeros((4, n, n), dtype=complex)
+            step[0, 1], nil[:, 1, 0] = 1.0, x.components[:, 0, 1]
+            p, p_inv = BqMatrix.identity(n) + BqMatrix(nil), BqMatrix.identity(n) - BqMatrix(nil)
+            bad += 1 if similar(p @ (scalar + BqMatrix.from_complex(step)) @ p_inv, p @ scalar @ p_inv) else 0
         return bad
 
     run("spectral.similarity-detection", EXACT, similarity_detection, trials)

@@ -302,6 +302,14 @@ class TestExitCodes:
         assert code == 3 and not out
         assert err.startswith(f"error: numerical: {verb}: first nullity")
 
+    def test_refused_operand_prints_nothing_whatever_the_traces(self, capsys, write_doc):
+        # the traces alone say "not similar", but the fingerprint of the
+        # first operand is refused, so the command prints no verdict
+        x = split_cluster_matrix()
+        code, out, err = run_cli(capsys, "similar", write_doc(x), write_doc(x + BqMatrix.identity(8)))
+        assert code == 3 and not out
+        assert err.startswith("error: numerical: similar: first nullity")
+
     @pytest.mark.parametrize("verb, documents", [("diagonalizable", 1), ("similar", 2)])
     def test_overflowing_spectrum_is_numerical(self, capsys, tmp_path, verb, documents):
         path = tmp_path / "spectrum.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -560,19 +562,21 @@ class TestVerdictsReadEigenvaluesOnly:
         np.testing.assert_array_equal(np.diag(witness, 1) != 0, [False, False, True])
 
 
+@pytest.fixture
+def computed(monkeypatch):
+    """The blocks whose Jordan fingerprint is computed, in order."""
+    blocks = []
+    fingerprint = clinalg.jordan_fingerprint
+
+    def counted_fingerprint(block):
+        blocks.append(block)
+        return fingerprint(block)
+
+    monkeypatch.setattr(clinalg, "jordan_fingerprint", counted_fingerprint)
+    return blocks
+
+
 class TestStructureReuse:
-    @pytest.fixture
-    def computed(self, monkeypatch):
-        blocks = []
-        fingerprint = clinalg.jordan_fingerprint
-
-        def counted_fingerprint(block):
-            blocks.append(block)
-            return fingerprint(block)
-
-        monkeypatch.setattr(clinalg, "jordan_fingerprint", counted_fingerprint)
-        return blocks
-
     @staticmethod
     def operands(rng):
         # X = P^-1 from_complex(J2(2+i) + J1(2+i) + J1(-1)) P, a conjugate Y
@@ -646,3 +650,71 @@ class TestStructureReuse:
         (ok, witness), (fresh_ok, fresh_witness) = kept[3], fresh[3]
         assert ok and fresh_ok
         np.testing.assert_array_equal(witness, fresh_witness)
+
+
+class TestTraceRule:
+    """``similar`` answers False on ``|tr A0 - tr B0| > 2n * gap`` before
+    either Jordan structure, and leaves every other pair to the structures."""
+
+    @staticmethod
+    def gap(a, b):
+        return clinalg.CLUSTER_TOL * max(a.norm(), b.norm(), 1e-300)
+
+    def test_differing_traces_compute_no_structure(self, rng, computed):
+        x = sampling.integer_matrix(rng, 3, 3)
+        y = sampling.unit_matrix(rng, 3, 3)
+        assert diagonalizable(y) and len(computed) == 1
+        assert not similar(x, x + BqMatrix.identity(3))
+        assert len(computed) == 1  # neither computed nor displacing y's
+        assert diagonalizable(y) and spectral.jordan_structure.cache_info().hits == 1
+
+    @staticmethod
+    def corpus(rng):
+        """Pairs, each with whether the trace decides it."""
+        for n in (1, 2, 3, 5):
+            for _ in range(4):
+                a = sampling.unit_matrix(rng, n, n)
+                yield a, sampling.unit_matrix(rng, n, n), True
+                p = sampling.invertible_integer_matrix(rng, n)
+                yield a, p.inverse() @ a @ p, False
+                # tr(B0) - tr(A0) = n * shift, just below and just above 2n * gap
+                for factor, by_trace in ((1 - 1e-3, False), (1 + 1e-3, True)):
+                    shift = 2 * factor * TestTraceRule.gap(a, a)
+                    yield a, a + BqMatrix.identity(n) * complex(shift), by_trace
+
+    def test_trace_verdicts_agree_with_the_structures(self, rng, computed):
+        for a, b, by_trace in self.corpus(rng):
+            spectral.jordan_structure.cache_clear()
+            computed.clear()
+            verdict = similar(a, b)
+            assert len(computed) == (0 if by_trace else 2)
+            apart = abs(complex(a.components[0].trace() - b.components[0].trace()))
+            assert (apart > 2 * a.rows * self.gap(a, b)) == by_trace
+            sa, sb = spectral.jordan_structure(a), spectral.jordan_structure(b)
+            assert verdict == clinalg.fingerprints_match(sa.clusters, sb.clusters, self.gap(a, b))
+
+    def test_refused_operand_with_another_trace_is_not_similar(self):
+        x = split_cluster_matrix()
+        assert not similar(x, x + BqMatrix.identity(8))
+        with pytest.raises(ConvergenceError):
+            similar(x, x)
+
+    @pytest.mark.parametrize("k", [-100, -10, 0, 10, 100])
+    def test_same_trace_goes_through_the_structures(self, k, computed):
+        # (1+2i) I + E01 against (1+2i) I: one trace, two Jordan structures
+        c = 10.0**k
+        scalar = BqMatrix.identity(3) * complex(1 + 2j)
+        step = BqMatrix.from_complex(np.diag([1.0, 0.0], 1))
+        assert not similar((scalar + step) * c, scalar * c)
+        assert similar((scalar + step) * c, (scalar + step) * c)
+        assert len(computed) == 2
+
+    def test_traces_beyond_the_float_range_leave_it_to_the_structures(self, computed):
+        # |A| is finite while the sum of each diagonal is not
+        d = np.linspace(2.5e307, 2.25e307, 8)
+        a, reordered = BqMatrix.from_complex(np.diag(d)), BqMatrix.from_complex(np.diag(d[::-1]))
+        b = BqMatrix.from_complex(np.diag([*d[:7], 2.4e307]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert similar(a, reordered) and not similar(a, b)
+        assert len(computed) == 3

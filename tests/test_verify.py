@@ -52,3 +52,10 @@ class TestVerifySuite:
         assert math.isinf(law.max_residual)
         assert law.note.startswith("raised ValueError: measured ratio")
         assert "result: FAIL" in report.render().splitlines()
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_similarity_gate_fails_when_every_fingerprint_matches(self, monkeypatch, size):
+        # the same-trace negative is the one the central traces cannot decide
+        monkeypatch.setattr(clinalg, "fingerprints_match", lambda fa, fb, gap: True)
+        report = verify_suite(seed=42, trials=20, size=size)
+        assert [law.name for law in report.laws if not law.passed] == ["spectral.similarity-detection"]
