@@ -7,8 +7,8 @@ eigendecomposition, complex Schur form, characteristic polynomial, and the
 Jordan structure behind similarity (:func:`jordan_fingerprint`, one frozen
 :class:`JordanStructure` per matrix).  Each numerical rule of the package is
 here once: the rank rule ``DEFAULT_TOL``, the cluster rule ``CLUSTER_TOL``,
-and norms that rescale by a power of two where squares leave the float range
-(:func:`norms`, :func:`matrix_scale`).
+and the power of two that scales a value into range, :func:`scaling_unit`
+(array-wise in :func:`norms`, the rescaling of :func:`matrix_scale`).
 
 Factorizations are delegated to LAPACK through ``numpy.linalg`` (and
 ``zgees``/``ztrsen`` from ``scipy.linalg.lapack``, imported on first use);
@@ -24,8 +24,8 @@ enters (:func:`finite`, through :func:`as_cmatrix` for a complex matrix and
 the constructors of :mod:`matrix`; :mod:`scalar` checks its own components)
 or where a step can take it out of the float range.  Here that is every
 output that can overflow on finite input (determinant, pseudoinverse,
-characteristic polynomial, eigenpairs, Schur form and vectors, the powers of
-a cluster block), which :func:`within_range` turns into ``OverflowError``.
+characteristic polynomial, eigenpairs, Schur form and vectors), which
+:func:`within_range` turns into ``OverflowError``.
 A LAPACK failure to converge is ``ConvergenceError``, by :func:`_converged`.
 """
 
@@ -103,9 +103,7 @@ def det(a) -> complex:
     m = _matrix(a)
     n = _require_square(m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if n == 0:
-            d = 1 + 0j
-        elif n == 1:
+        if n == 1:
             d = complex(m[0, 0])
         elif n == 2:
             d = complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
@@ -121,18 +119,13 @@ def det(a) -> complex:
 
 
 def singular_values(a) -> np.ndarray:
-    m = _matrix(a)
-    if 0 in m.shape:
-        return np.zeros(0)
-    return _converged("the SVD", np.linalg.svd, m, compute_uv=False)
+    return _converged("the SVD", np.linalg.svd, _matrix(a), compute_uv=False)
 
 
 def rank(a) -> int:
     """Numerical rank: singular values above ``DEFAULT_TOL`` times the largest one."""
     s = singular_values(a)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > DEFAULT_TOL * s[0]))
+    return int(np.count_nonzero(s > DEFAULT_TOL * s.max(initial=0.0)))
 
 
 def pinv(a) -> np.ndarray:
@@ -217,6 +210,16 @@ def norms(c, axis=None, weight: int = 1) -> np.ndarray:
         return np.squeeze(np.sqrt(weight * squares) / unit, axis=axis)
 
 
+def scaling_unit(top: float) -> float:
+    """The power of two that brings ``top`` into [0.5, 1) (1 for 0), capped at ``2**1022`` to stay finite."""
+    return math.ldexp(1.0, min(-math.frexp(top)[1], 1022))
+
+
+def _times(x: np.ndarray, unit: float) -> np.ndarray:
+    # Part by part: a complex times real product adds 0 * part terms, which flip signed zeros.
+    return (np.ascontiguousarray(x).view(float) * unit).view(complex)
+
+
 def matrix_scale(a) -> float:
     """Frobenius norm, the scale of relative tolerances, by :func:`norms` where squares leave the range."""
     x = _matrix(a).ravel(order="K")
@@ -235,8 +238,6 @@ def cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
     every cluster is a singleton and no linkage pass runs.
     """
     w = np.asarray(w, dtype=complex)
-    if w.size == 0:
-        return []
     near = np.abs(w[:, None] - w) <= gap
     near.flat[:: w.size + 1] = True  # even where the distance is nan
     if np.count_nonzero(near) == w.size:
@@ -311,24 +312,23 @@ def jordan_fingerprint(a) -> JordanStructure:
     block minus ``lam*I`` and ``s`` its largest singular value, the k-th
     nullity counts the singular values of ``b**k / s**(k-1)`` at most
     ``DEFAULT_TOL`` times the scale, until it reaches the block's size or
-    stops growing.  No eigenvector, Schur vector or singular vector is formed.
+    stops growing, all on values times :func:`scaling_unit` of the scale, so
+    no power or mean leaves the float range.  No eigenvector, Schur vector or
+    singular vector is formed.
 
     Raises:
         ConvergenceError: if a cluster's nullities are no Weyr characteristic
             (see :func:`weyr_to_block_sizes`): the cluster is unresolved.
         OverflowError: if the matrix's Frobenius norm or an eigenvalue lies
-            beyond the float range (eigenvalues of a finite matrix can), or
-            ``b**(k-1) / s**(k-2) @ b`` leaves it.
+            beyond the float range (eigenvalues of a finite matrix can).
     """
     m = _matrix(a)
-    n = _require_square(m)
+    _require_square(m)
     norm = matrix_scale(m)
-    if n == 0:
-        return JordanStructure((), (), norm)
     if norm == math.inf:  # every cluster would merge, and every nullity be full
         raise OverflowError("the scale of the matrix exceeds the float range")
     w = eigvals(m)
-    scale = max(norm, float(np.abs(w).max()), 1e-300)
+    scale = max(norm, 1e-300)
     clusters = cluster_eigenvalues(w, CLUSTER_TOL * scale)
     if len(clusters) == w.size:  # all singletons, in the sorted order of w
         return JordanStructure(tuple((lam, (1,)) for lam in w.tolist()), (_SIMPLE,) * w.size, norm)
@@ -338,8 +338,8 @@ def jordan_fingerprint(a) -> JordanStructure:
     t, _ = schur(m)
     # Distances from each Schur eigenvalue to each eigenvalue.
     apart = np.abs(t.diagonal()[:, None] - w)
-    eye = np.eye(n)
-    cutoff = DEFAULT_TOL * scale
+    unit = scaling_unit(scale)
+    w_unit, cutoff = _times(w, unit), DEFAULT_TOL * scale * unit
     with np.errstate(over="ignore", invalid="ignore"):  # within_range reports overflow
         for idx in clusters:
             if idx.size == 1:
@@ -348,8 +348,9 @@ def jordan_fingerprint(a) -> JordanStructure:
             d = apart[:, idx].min(axis=1)
             # With wantq=0, ztrsen reads no Schur vectors; t stands in for them.
             tk, _, _, k, *_ = lapack.ztrsen(d <= np.sort(d)[idx.size - 1], t, t, job="N", wantq=0)
-            lam = complex(w[idx].sum() / idx.size)
-            shifted = tk[:k, :k] - lam * eye[:k, :k]
+            mean = complex(w_unit[idx].sum() / idx.size)
+            lam = complex(mean.real / unit, mean.imag / unit)
+            shifted = _times(tk[:k, :k], unit) - mean * np.eye(k)
             s = singular_values(shifted)
             weyr = [int(np.count_nonzero(s <= cutoff))]
             power = shifted

@@ -156,15 +156,13 @@ class Biquaternion:
     # -- basic structure ---------------------------------------------------
 
     def _scaled(self) -> tuple[tuple[complex, ...], float]:
-        """The components times ``unit``, the exact power of two that brings
-        the largest real or imaginary part into [0.5, 1), and ``unit``: their
-        squares can neither overflow nor underflow, and every ratio is
-        unchanged."""
+        """The components times ``unit``, :func:`clinalg.scaling_unit` of the
+        largest real or imaginary part, and ``unit``: their squares can
+        neither overflow nor underflow, and every ratio is unchanged."""
         a0, a1, a2, a3 = self.components
         # Parts, not moduli: abs() of a component overflows past 1.8e308.
         top = max(map(abs, (a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag, a3.real, a3.imag)))
-        # Capped so that unit itself stays finite for subnormal components.
-        unit = math.ldexp(1.0, min(-math.frexp(top)[1], 1022))
+        unit = clinalg.scaling_unit(top)
         return (a0 * unit, a1 * unit, a2 * unit, a3 * unit), unit
 
     def norm(self) -> float:

@@ -181,7 +181,7 @@ def _eigenvector_pair(a: BqMatrix, rep: np.ndarray) -> RegularEigenPair | None:
     # Solved on rep times the power of two that brings |rep| into [0.5, 1),
     # so the solution's growth ~1/eps cannot overflow at any scale.  The
     # shift eps*|rep| keeps an exactly computed eigenvalue off a zero pivot.
-    unit = math.ldexp(1.0, min(-math.frexp(structure.scale)[1], 1022))
+    unit = clinalg.scaling_unit(structure.scale)
     shifts = np.array([lams[0], far]) * unit + _EPS * structure.scale * unit
     start = np.exp(1j * _GOLDEN_ANGLE * np.arange(size))
     with np.errstate(over="ignore", invalid="ignore"):  # within_range reports overflow

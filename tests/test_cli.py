@@ -196,6 +196,21 @@ class TestSimilarityVerbs:
         assert [line for line in out.splitlines() if line.startswith("  eigenvalue")] == expected
 
 
+    @pytest.mark.parametrize(
+        "verb, expected",
+        [
+            ("similar", "similar\nfingerprint A:\nfingerprint B:\n"),
+            ("diagonalizable", "diagonalizable\nfingerprint block representation:\n"),
+            ("similar-to-complex", "similar to a complex matrix; Jordan-form witness:\nfingerprint block representation:\n"),
+            ("rank", "0\n"),
+            ("det", "1+0i\n"),
+        ],
+    )
+    def test_empty_document(self, capsys, write_doc, verb, expected):
+        paths = [write_doc(BqMatrix.zeros(0, 0))] * (2 if verb == "similar" else 1)
+        assert run_cli(capsys, verb, *paths) == (0, expected, "")
+
+
 class TestExitCodes:
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -278,7 +293,6 @@ class TestExitCodes:
         "verb, matrix",
         [
             ("charpoly", single(Biquaternion(1e200))),
-            ("diagonalizable", BqMatrix.from_complex(np.eye(3) + np.diag([1.0, 1.0], 1)) * 1e160),
         ],
     )
     def test_intermediate_overflow_is_numerical(self, capsys, write_doc, verb, matrix):
@@ -288,6 +302,16 @@ class TestExitCodes:
             code, _, err = run_cli(capsys, verb, path)
         assert code == 3
         assert err.startswith(f"error: numerical: {verb}:") and len(err.splitlines()) == 1
+        assert not caught  # no numpy RuntimeWarning either
+
+    def test_size_three_block_beyond_1e154_is_answered(self, capsys, write_doc):
+        # the powers of its cluster block once overflowed (exit 3)
+        path = write_doc(BqMatrix.from_complex(np.eye(3) + np.diag([1.0, 1.0], 1)) * 1e160)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "diagonalizable", path)
+        assert code == 0 and not err
+        assert out.splitlines()[0] == "not diagonalizable"
         assert not caught  # no numpy RuntimeWarning either
 
     def test_unresolved_jordan_structure_is_numerical(self, capsys, write_doc):

@@ -39,6 +39,10 @@ class TestDet:
         with pytest.raises(DimensionError):
             clinalg.det(np.ones((2, 3)))
 
+    def test_empty(self):
+        d = clinalg.det(np.zeros((0, 0)))
+        assert type(d) is complex and d == 1
+
     def test_multiplicative(self, rng):
         for _ in range(50):
             a = random_cmatrix(rng, 4, 4, integer=True)
@@ -68,6 +72,11 @@ class TestSvd:
     def test_diagonal(self):
         s = clinalg.singular_values(np.array([[0, 0], [0, 2]], dtype=complex))
         np.testing.assert_array_equal(s, [2, 0])
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty(self, shape):
+        assert clinalg.singular_values(np.zeros(shape)).shape == (0,)
+        assert clinalg.rank(np.zeros(shape)) == 0
 
     def test_reconstruction(self, rng):
         # a = u @ diag(s) @ vh built from chosen s gives back s, descending
@@ -265,7 +274,7 @@ class TestJordanFingerprint:
         fp = clinalg.jordan_fingerprint(a).clusters
         assert [weyr for _, weyr in fp] == [(1, 2), (1,)]
 
-    @pytest.mark.parametrize("c", [1.0, 1e-120, 1e120])
+    @pytest.mark.parametrize("c", [1.0, 1e-300, 1e-120, 1e120, 1e200, 1e300])
     def test_size_three_block_powers_do_not_overflow(self, c):
         j = np.kron(np.eye(2), np.eye(3) + np.diag([1.0, 1.0], 1))  # two J3(1)
         [(lam, weyr)] = clinalg.jordan_fingerprint(c * j).clusters
@@ -367,6 +376,9 @@ class TestJordanFingerprint:
         assert [dict(b) for b in s.blocks] == [clinalg.weyr_to_block_sizes(w) for _, w in s.clusters]
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.scale = 1.0
+
+    def test_empty(self):
+        assert clinalg.jordan_fingerprint(np.zeros((0, 0))) == clinalg.JordanStructure((), (), 0.0)
 
     def test_scale_is_the_frobenius_norm(self, rng):
         for a in (random_cmatrix(rng, 5, 5), np.diag([3.0, 3.0, 5.0]), np.zeros((0, 0))):

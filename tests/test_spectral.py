@@ -420,16 +420,22 @@ class TestDiagonalizable:
     def test_identity(self):
         assert diagonalizable(BqMatrix.identity(3))
 
-    @pytest.mark.parametrize("c", [1e-120, 1e120])
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-120, 1e120, 1e200, 1e300])
     def test_scaled_size_three_block(self, c):
         j = np.eye(3) + np.diag([1.0, 1.0], 1)
         assert not diagonalizable(BqMatrix.from_complex(j) * c)
 
-    def test_size_three_block_beyond_power_range_is_refused(self):
-        # the powers rule squares entries of 1e160, beyond the float range
-        j = np.eye(3) + np.diag([1.0, 1.0], 1)
-        with pytest.raises(OverflowError):
-            diagonalizable(BqMatrix.from_complex(j) * 1e160)
+    @pytest.mark.parametrize("k", [-307, -150, 0, 100, 158, 200, 250, 307])
+    def test_null_case_entry_at_any_scale(self, k):
+        # a 1x1 matrix is diagonalizable; this entry's block is one Jordan
+        # block of size 2, whose powers once left the float range past 1e157
+        c = 10.0**k
+        assert diagonalizable(single(Biquaternion((1 + 2j) * c, c, 1j * c)))
+
+    @pytest.mark.parametrize("n, c", [(1, 0.9e308), (8, 0.25e308)])
+    def test_scalar_matrix_near_the_float_range(self, n, c):
+        # the mean of its one cluster once overflowed, and the SVD failed
+        assert diagonalizable(BqMatrix.identity(n) * c)
 
     def test_conjugated_diagonal(self, rng):
         for _ in range(10):
@@ -454,6 +460,25 @@ class TestDiagonalizable:
         m[2, 3] = 1.0
         a = BqMatrix.from_interleaved_repr(m)
         assert diagonalizable(a)
+
+
+@pytest.mark.parametrize("k", [-300, -150, 150, 300])
+def test_verdicts_on_an_exact_input_are_scale_free(k):
+    # J2(3) + J1(3) + J1(-2+2i), conjugated by I + N and then I + M, where N
+    # (in column 3) and M (in row 3) square to zero: both inverses are exact
+    j = np.diag([3, 3, 3, -2 + 2j])
+    j[0, 1] = 1
+    n, m = np.zeros((2, 4, 4, 4), dtype=complex)
+    n[[0, 1, 2, 3], [0, 1, 2, 0], 3] = [1 + 1j, -1, 1j, 2]
+    m[[0, 3, 1, 2], 3, [0, 1, 2, 2]] = [1, 1 - 1j, 2, -1j]
+    eye = BqMatrix.identity(4)
+    x = (eye + BqMatrix(n)) @ BqMatrix.from_complex(j) @ (eye - BqMatrix(n))
+    y = (eye + BqMatrix(m)) @ x @ (eye - BqMatrix(m))
+
+    def verdicts(c):
+        return similar(x * c, y * c), diagonalizable(x * c), similar_to_complex(x * c)[0]
+
+    assert verdicts(10.0**k) == verdicts(1.0) == (True, True, True)
 
 
 class TestSimilarToComplex:
