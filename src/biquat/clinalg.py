@@ -13,11 +13,11 @@ and the power of two that scales a value into range, :func:`scaling_unit`
 Factorizations are delegated to LAPACK through ``numpy.linalg`` (and
 ``zgees``/``ztrsen`` from ``scipy.linalg.lapack``, imported on first use);
 the characteristic polynomial uses the Faddeev-LeVerrier recursion, which is
-exact for integer-valued inputs at desk scale.  Jordan structure reads
-eigenvalues only, plus singular values of one Schur form without vectors
-for repeated clusters; Schur vectors are formed only for regular
-eigenpairs of spectra without two semisimple clusters (:func:`schur` with
-``vectors=True``).
+exact for integer-valued inputs at desk scale.  Jordan structure reads the
+eigenvalues of one copy of the matrix scaled by :func:`scaling_unit`, plus
+singular values of its Schur form without vectors for repeated clusters;
+Schur vectors are formed only for regular eigenpairs of spectra without two
+semisimple clusters (:func:`schur` with ``vectors=True``).
 
 The routines take finite arrays: the library checks a value once, where it
 enters (:func:`finite`, through :func:`as_cmatrix` for a complex matrix and
@@ -301,6 +301,9 @@ def jordan_fingerprint(a) -> JordanStructure:
     when their clusters match under eigenvalue pairing within tolerance
     (see :func:`fingerprints_match`).
 
+    Every step runs on one copy of ``a`` times :func:`scaling_unit` of its
+    Frobenius norm; only eigenvalues and cluster means are scaled back,
+    exactly, so an exact power of two times ``a`` scales only them.
     One eigenvalue computation yields the spectrum; eigenvalues closer than
     ``CLUSTER_TOL`` times the matrix scale are merged (Jordan structure is
     discontinuous, so this is a documented heuristic).  A cluster of one
@@ -312,56 +315,53 @@ def jordan_fingerprint(a) -> JordanStructure:
     block minus ``lam*I`` and ``s`` its largest singular value, the k-th
     nullity counts the singular values of ``b**k / s**(k-1)`` at most
     ``DEFAULT_TOL`` times the scale, until it reaches the block's size or
-    stops growing, all on values times :func:`scaling_unit` of the scale, so
-    no power or mean leaves the float range.  No eigenvector, Schur vector or
-    singular vector is formed.
+    stops growing; no power's norm exceeds ``s``.  No eigenvector, Schur
+    vector or singular vector is formed.
 
     Raises:
         ConvergenceError: if a cluster's nullities are no Weyr characteristic
             (see :func:`weyr_to_block_sizes`): the cluster is unresolved.
-        OverflowError: if the matrix's Frobenius norm or an eigenvalue lies
-            beyond the float range (eigenvalues of a finite matrix can).
+        OverflowError: if the Frobenius norm or a scaled-back eigenvalue overflows.
     """
     m = _matrix(a)
     _require_square(m)
     norm = matrix_scale(m)
     if norm == math.inf:  # every cluster would merge, and every nullity be full
         raise OverflowError("the scale of the matrix exceeds the float range")
+    unit = scaling_unit(norm)
+    m, scale = _times(m, unit), norm * unit
     w = eigvals(m)
-    scale = max(norm, 1e-300)
+    lams = within_range((w.view(float) / unit).view(complex), "an eigenvalue")
     clusters = cluster_eigenvalues(w, CLUSTER_TOL * scale)
-    if len(clusters) == w.size:  # all singletons, in the sorted order of w
-        return JordanStructure(tuple((lam, (1,)) for lam in w.tolist()), (_SIMPLE,) * w.size, norm)
+    if len(clusters) == w.size:  # all singletons, sorted again where scaling back ties two real parts
+        lams = sorted(lams.tolist(), key=lambda lam: (lam.real, lam.imag))
+        return JordanStructure(tuple((lam, (1,)) for lam in lams), (_SIMPLE,) * w.size, norm)
     from scipy.linalg import lapack  # ztrsen reorders the Schur form
 
-    out = []
+    out, cutoff = [], DEFAULT_TOL * scale
     t, _ = schur(m)
     # Distances from each Schur eigenvalue to each eigenvalue.
     apart = np.abs(t.diagonal()[:, None] - w)
-    unit = scaling_unit(scale)
-    w_unit, cutoff = _times(w, unit), DEFAULT_TOL * scale * unit
-    with np.errstate(over="ignore", invalid="ignore"):  # within_range reports overflow
-        for idx in clusters:
-            if idx.size == 1:
-                out.append((complex(w[idx[0]]), (1,), _SIMPLE))
-                continue
-            d = apart[:, idx].min(axis=1)
-            # With wantq=0, ztrsen reads no Schur vectors; t stands in for them.
-            tk, _, _, k, *_ = lapack.ztrsen(d <= np.sort(d)[idx.size - 1], t, t, job="N", wantq=0)
-            mean = complex(w_unit[idx].sum() / idx.size)
-            lam = complex(mean.real / unit, mean.imag / unit)
-            shifted = _times(tk[:k, :k], unit) - mean * np.eye(k)
-            s = singular_values(shifted)
-            weyr = [int(np.count_nonzero(s <= cutoff))]
-            power = shifted
-            while weyr[-1] < k:
-                power = within_range(power @ shifted / s[0], "a power of a cluster block")
-                nullity = int(np.count_nonzero(singular_values(power) <= cutoff))
-                if nullity <= weyr[-1]:
-                    break
-                weyr.append(nullity)
-            blocks = weyr_to_block_sizes(tuple(weyr))  # raises unless weyr is a Weyr characteristic
-            out.append((lam, tuple(weyr), tuple(blocks.items())))
+    for idx in clusters:
+        if idx.size == 1:
+            out.append((complex(lams[idx[0]]), (1,), _SIMPLE))
+            continue
+        d = apart[:, idx].min(axis=1)
+        # With wantq=0, ztrsen reads no Schur vectors; t stands in for them.
+        tk, _, _, k, *_ = lapack.ztrsen(d <= np.sort(d)[idx.size - 1], t, t, job="N", wantq=0)
+        mean = complex(w[idx].sum() / idx.size)
+        shifted = tk[:k, :k] - mean * np.eye(k)
+        s = singular_values(shifted)
+        weyr = [int(np.count_nonzero(s <= cutoff))]
+        power = shifted
+        while weyr[-1] < k:
+            power = power @ shifted / s[0]
+            nullity = int(np.count_nonzero(singular_values(power) <= cutoff))
+            if nullity <= weyr[-1]:
+                break
+            weyr.append(nullity)
+        blocks = weyr_to_block_sizes(tuple(weyr))  # raises unless weyr is a Weyr characteristic
+        out.append((complex(mean.real / unit, mean.imag / unit), tuple(weyr), tuple(blocks.items())))
     out.sort(key=lambda c: (c[0].real, c[0].imag))
     return JordanStructure(tuple((lam, weyr) for lam, weyr, _ in out), tuple(b for *_, b in out), norm)
 

@@ -252,11 +252,11 @@ def similar(a: BqMatrix, b: BqMatrix) -> bool:
     """Similarity over the biquaternion algebra.
 
     Equivalent to similarity of the block representations over the complex
-    numbers, decided by comparing Jordan fingerprints under tolerance
-    pairing of eigenvalue clusters, ``gap = CLUSTER_TOL * max(|A|, |B|)``.
+    numbers, decided by comparing Jordan fingerprints under tolerance pairing
+    of eigenvalue clusters, ``gap = CLUSTER_TOL * max(|A|, |B|)`` with no floor.
     Clusters paired with equal sizes put the block traces ``2 tr(A0)`` within
     ``2n * gap``, so ``|tr A0 - tr B0| > 2n * gap``, twice that, is False in
-    O(n) without either structure; a trace that is not finite is no evidence.
+    O(n) without either structure; a non-finite trace is no evidence.
 
     Raises:
         ConvergenceError, OverflowError: see :func:`clinalg.jordan_fingerprint`; only if the traces agree.
@@ -264,7 +264,7 @@ def similar(a: BqMatrix, b: BqMatrix) -> bool:
     n = a._require_square()
     if a.shape != b.shape:  # so b is square too
         raise DimensionError(f"size mismatch: {a.shape} vs {b.shape}")
-    gap = clinalg.CLUSTER_TOL * max(a.norm(), b.norm(), 1e-300)
+    gap = clinalg.CLUSTER_TOL * max(a.norm(), b.norm())
     with np.errstate(over="ignore", invalid="ignore"):
         traces = a.components[0].trace(), b.components[0].trace()
         if np.isfinite(traces).all() and abs(traces[0] - traces[1]) > 2 * n * gap:

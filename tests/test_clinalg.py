@@ -274,7 +274,7 @@ class TestJordanFingerprint:
         fp = clinalg.jordan_fingerprint(a).clusters
         assert [weyr for _, weyr in fp] == [(1, 2), (1,)]
 
-    @pytest.mark.parametrize("c", [1.0, 1e-300, 1e-120, 1e120, 1e200, 1e300])
+    @pytest.mark.parametrize("c", [1.0, 1e-310, 1e-300, 1e-120, 1e120, 1e200, 1e300])
     def test_size_three_block_powers_do_not_overflow(self, c):
         j = np.kron(np.eye(2), np.eye(3) + np.diag([1.0, 1.0], 1))  # two J3(1)
         [(lam, weyr)] = clinalg.jordan_fingerprint(c * j).clusters

@@ -503,11 +503,17 @@ class TestScaleFree:
         assert a.canonical_form() == (a, CanonicalCase.COMPLEX)
 
     @settings(derandomize=True, deadline=None)
-    @given(ELEMENTS, EXPONENTS)
+    @given(ELEMENTS, st.integers(-320, 307))  # subnormal and near-overflow elements included
     @example(Biquaternion(1, 2, 0, 2j), 0)
     @example(Biquaternion(1, 2, 0, 2j), 2)
+    @example(Biquaternion(1, 2, 0, 2j), -320)  # null case
     @example(Biquaternion(0, 1, 1j), -100)
     @example(Biquaternion(5j), 100)
+    @example(Biquaternion(5 + 5j, 5, 5, 5), 307)
+    @example(Biquaternion(1, 2j, 0.5), -308)  # generic: two simple eigenvalues at every scale
+    @example(Biquaternion(1, 2j, 0.5), -310)
+    @example(Biquaternion(1, 2j, 0.5), -315)
+    @example(Biquaternion(1, 2j, 0.5), -320)
     def test_case_matches_image_fingerprint(self, a, k):
         ac = a * 10.0**k
         _, case = ac.canonical_form()

@@ -402,7 +402,7 @@ class TestSimilar:
         rep_b[1, 2] = 1.0  # J2(4) second
         assert similar(BqMatrix.from_block_repr(rep_a), BqMatrix.from_block_repr(rep_b))
 
-    @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
+    @pytest.mark.parametrize("c", [1e-318, 1e-310, 1e-300, 1e-160, 1e160, 1e300])
     def test_spectrum_shift_not_similar_at_any_scale(self, c):
         a = BqMatrix.from_complex(np.diag([1.0, 2.0])) * c
         b = BqMatrix.from_complex(np.diag([1.0, 3.0])) * c
@@ -420,7 +420,7 @@ class TestDiagonalizable:
     def test_identity(self):
         assert diagonalizable(BqMatrix.identity(3))
 
-    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-120, 1e120, 1e200, 1e300])
+    @pytest.mark.parametrize("c", [1e-318, 1e-310, 1e-300, 1e-200, 1e-120, 1e120, 1e200, 1e300])
     def test_scaled_size_three_block(self, c):
         j = np.eye(3) + np.diag([1.0, 1.0], 1)
         assert not diagonalizable(BqMatrix.from_complex(j) * c)
@@ -479,6 +479,26 @@ def test_verdicts_on_an_exact_input_are_scale_free(k):
         return similar(x * c, y * c), diagonalizable(x * c), similar_to_complex(x * c)[0]
 
     assert verdicts(10.0**k) == verdicts(1.0) == (True, True, True)
+
+
+@settings(derandomize=True, deadline=None)
+@given(GRID_MATRICES, st.integers(-1060, 1000))
+@example(single(JORDAN_ELEMENT - 1), -1060)  # nilpotent
+@example(BqMatrix.identity(4) * 5, 1000)
+@example(BqMatrix(np.array([[[3, -2], [2, -5]], [[-5, 1], [1, 2]], [[-3, -4], [5, -4]], [[1, 1], [4, 0]]])), -1040)
+@example(BqMatrix(np.array([[[3, -5, 3], [0, 0, 1], [-2, 5, -5]], [[-2, -1, 1], [-1, -4, -5], [-5, -5, -4]],
+                            [[5, -3, 2], [3, -3, -2], [-1, -3, 5]], [[-4, 4, 3], [4, -4, -1], [1, 0, 2]]])), -1043)
+def test_structure_is_exact_under_powers_of_two(a, k):
+    # 2**k times a small-integer input, subnormal ones included, is exact,
+    # and while the norm is a normal float the structure runs on the same
+    # scaled copy; rounding into subnormals can tie two real parts, which
+    # then sort by imag
+    ak = BqMatrix(np.ldexp(a.components.view(float), k).view(complex))
+    structure, scaled = spectral.jordan_structure(a), spectral.jordan_structure(ak)
+    expected = [(complex(np.ldexp(lam.real, k), np.ldexp(lam.imag, k)), weyr) for lam, weyr in structure.clusters]
+    assert scaled.clusters == tuple(sorted(expected, key=lambda c: (c[0].real, c[0].imag)))
+    assert diagonalizable(ak) == diagonalizable(a)
+    assert similar_to_complex(ak)[0] == similar_to_complex(a)[0]
 
 
 class TestSimilarToComplex:
