@@ -4,7 +4,9 @@
 It is multiplicative, detects invertibility, doubles the ordinary
 determinant on embedded complex matrices, and reduces to products of weak
 norms on triangular matrices.  The scaling law under quaternion scalars is
-measured empirically rather than asserted: the exponent is n.
+measured empirically rather than asserted: the exponent is n.  The
+triangular product, the Cayley-Hamilton residual and the exponent probe are
+the law helpers of ``biquat.verify``, which checks these theorems.
 """
 
 import numpy as np
@@ -14,11 +16,13 @@ from biquat import (
     E2,
     Biquaternion,
     BqMatrix,
-    cayley_hamilton_residual,
     central_charpoly,
     central_det,
-    charpoly_coefficient_scale,
     sampling,
+)
+from biquat.verify import (
+    cayley_hamilton_residual,
+    charpoly_coefficient_scale,
     scaling_exponent_probe,
     triangular_central_det,
 )

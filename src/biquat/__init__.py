@@ -6,15 +6,8 @@ lowered to dense complex linear algebra through faithful complex
 representations and lifted back.
 """
 
-from . import clinalg, io, sampling
-from .determinant import (
-    cayley_hamilton_residual,
-    central_charpoly,
-    central_det,
-    charpoly_coefficient_scale,
-    scaling_exponent_probe,
-    triangular_central_det,
-)
+from . import clinalg, io
+from .determinant import central_charpoly, central_det
 from .errors import (
     BiquatError,
     ConvergenceError,
@@ -22,7 +15,6 @@ from .errors import (
     DimensionError,
     InvalidPairError,
     NotInvertibleError,
-    NotTriangularError,
 )
 from .matrix import (
     BqMatrix,
@@ -73,16 +65,13 @@ __all__ = [
     "BiquatError",
     "DimensionError",
     "NotInvertibleError",
-    "NotTriangularError",
     "DegenerateWitnessError",
     "InvalidPairError",
     "ConvergenceError",
     "adjoint_vector",
     "block_diagonal",
-    "cayley_hamilton_residual",
     "central_charpoly",
     "central_det",
-    "charpoly_coefficient_scale",
     "clinalg",
     "derived_complex_eigenvalues",
     "diagonalizable",
@@ -94,10 +83,7 @@ __all__ = [
     "regular_right_eigenpair",
     "repr_factor",
     "right_eigenpairs",
-    "sampling",
-    "scaling_exponent_probe",
     "shuffle_permutations",
     "similar",
     "similar_to_complex",
-    "triangular_central_det",
 ]

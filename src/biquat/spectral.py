@@ -215,7 +215,10 @@ def derived_complex_eigenvalues(a: BqMatrix, pair: RegularEigenPair) -> list[com
             rank rule) and the residual at most ``DEFAULT_TOL * |A| * |X|``
             in block norms, which hold for ``X`` times any nonzero complex number.
         OverflowError: if the residual lies beyond the float range.
+        DimensionError: unless ``a`` is square and the vector a column of its size.
     """
+    if pair.vector.shape != (a._require_square(), 1):
+        raise DimensionError(f"expected a {a.rows}x1 eigenvector, got shape {pair.vector.shape}")
     rep, bx = a.block_repr(), pair.vector.block_repr()
     if clinalg.rank(bx) < 2:
         raise InvalidPairError("eigenvector is not regular: its block rank is below 2")

@@ -42,31 +42,49 @@ def merged_cluster_matrix() -> BqMatrix:
     return BqMatrix.from_complex(d @ j @ np.linalg.inv(d) * 1e21)
 
 
+def unimodular(rng, n: int) -> tuple[BqMatrix, BqMatrix]:
+    """``U = (I + N1)(I + N2)`` and ``U^-1 = (I - N2)(I - N1)``, exactly.
+
+    Each ``N`` has Gaussian-integer components from rows of one half of a
+    random permutation of ``range(n)`` to columns of the other, so
+    ``N @ N == 0``.
+    """
+    u = u_inv = BqMatrix.identity(n)
+    for _ in range(2):
+        perm = rng.permutation(n)
+        lo, hi = perm[: n // 2], perm[n // 2 :]
+        nil = np.zeros((4, n, n), dtype=complex)
+        re, im = rng.integers(-1, 2, (2, 4, hi.size))
+        nil[:, hi, rng.choice(lo, size=hi.size)] = re + 1j * im
+        u = u @ (BqMatrix.identity(n) + BqMatrix(nil))
+        u_inv = (BqMatrix.identity(n) - BqMatrix(nil)) @ u_inv
+    return u, u_inv
+
+
+def gaussian_jordan_conjugate(rng, blocks: tuple[int, ...]) -> BqMatrix:
+    """``U from_complex(J) U^-1`` with :func:`unimodular` ``U``, where ``J``
+    has Jordan blocks of sizes ``blocks`` at each of two distinct nonzero
+    Gaussian integers in ``[-2, 2] + [-2, 2]i``."""
+    grid = [complex(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
+    pair = np.array(grid)[rng.choice(len(grid), size=2, replace=False)]
+    sizes = list(blocks) * 2
+    n = sum(sizes)
+    ones = np.ones(n - 1)
+    ones[np.cumsum(sizes)[:-1] - 1] = 0  # no coupling across a block's end
+    j = np.diag(np.repeat(pair, sum(blocks))) + np.diag(ones, 1)
+    u, u_inv = unimodular(rng, n)
+    return u @ BqMatrix.from_complex(j) @ u_inv
+
+
 def split_cluster_matrix() -> BqMatrix:
     """U from_complex(J3(l1) + J1(l1) + J3(l2) + J1(l2)) U^-1 at n = 8.
 
-    ``l1, l2`` are distinct Gaussian integers and ``U = (I + N1)(I + N2)``,
-    each ``N`` with Gaussian-integer components and ``N @ N == 0``, so
-    ``U^-1 = (I - N2)(I - N1)`` exactly.  ``eig`` scatters the eightfold
-    eigenvalue near ``1 + 1j`` by about 1e-5 of the scale, past
-    ``CLUSTER_TOL``: three of its clusters have first nullity 0, which no
-    Weyr characteristic has.
+    Built by :func:`gaussian_jordan_conjugate`, so ``U^-1`` is exact.
+    ``eig`` scatters the eightfold eigenvalue near ``1 + 1j`` by about 1e-5
+    of the scale, past ``CLUSTER_TOL``: three of its clusters have first
+    nullity 0, which no Weyr characteristic has.
     """
-    rng = np.random.default_rng(17)
-    grid = [complex(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
-    l1, l2 = np.array(grid)[rng.choice(len(grid), size=2, replace=False)]
-    j = np.diag([l1] * 4 + [l2] * 4)
-    j[0, 1] = j[1, 2] = j[4, 5] = j[5, 6] = 1
-    u = u_inv = BqMatrix.identity(8)
-    for _ in range(2):
-        perm = rng.permutation(8)
-        lo, hi = perm[:4], perm[4:]
-        nil = np.zeros((4, 8, 8), dtype=complex)
-        re, im = rng.integers(-1, 2, (2, 4, 4))
-        nil[:, hi, rng.choice(lo, size=4)] = re + 1j * im
-        u = u @ (BqMatrix.identity(8) + BqMatrix(nil))
-        u_inv = (BqMatrix.identity(8) - BqMatrix(nil)) @ u_inv
-    return u @ BqMatrix.from_complex(j) @ u_inv
+    return gaussian_jordan_conjugate(np.random.default_rng(17), (3, 1))
 
 
 # A finite document whose block representation has eigenvalues and a

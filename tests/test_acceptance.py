@@ -16,9 +16,7 @@ from biquat import (
     BqMatrix,
     NotInvertibleError,
     block_diagonal,
-    cayley_hamilton_residual,
     central_det,
-    charpoly_coefficient_scale,
     clinalg,
     derived_complex_eigenvalues,
     diagonalizable,
@@ -27,11 +25,15 @@ from biquat import (
     repr_factor,
     right_eigenpairs,
     sampling,
-    scaling_exponent_probe,
     similar,
-    triangular_central_det,
 )
 from biquat.cli import main as cli_main
+from biquat.verify import (
+    cayley_hamilton_residual,
+    charpoly_coefficient_scale,
+    scaling_exponent_probe,
+    triangular_central_det,
+)
 from biquat.scalar import E1, E2, E3, ONE
 
 MAX_PROBLEMS = 5

@@ -574,19 +574,31 @@ class TestStartup:
         assert proc.stdout.split() == ["False", "False", "False"]
 
     def test_cli_import_leaves_out_verify(self):
-        # only the verify verb loads the law suite, and it still runs
+        # only the verify verb loads the law suite and its input generators,
+        # and it still runs
         src = os.path.dirname(os.path.dirname(biquat.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         code = (
             "import sys\n"
             "import biquat.cli\n"
-            "print('biquat.verify' in sys.modules, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+            "print('biquat.verify' in sys.modules, 'biquat.sampling' in sys.modules,"
+            " any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
             "sys.exit(biquat.cli.main(['verify', '--trials', '2', '--size', '2']))"
         )
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0
-        assert proc.stdout.splitlines()[0] == "False False"
+        assert proc.stdout.splitlines()[0] == "False False False"
         assert "result: PASS" in proc.stdout.splitlines()
+
+    def test_import_leaves_out_the_self_check(self):
+        # the law suite and its input generators load only when asked for
+        src = os.path.dirname(os.path.dirname(biquat.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, biquat; print('biquat.verify' in sys.modules, 'biquat.sampling' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False False"
 
 
 class TestVerifyCommand:

@@ -9,14 +9,16 @@ from biquat import (
     Biquaternion,
     BqMatrix,
     NotInvertibleError,
-    NotTriangularError,
     block_diagonal,
-    cayley_hamilton_residual,
     central_charpoly,
     central_det,
-    charpoly_coefficient_scale,
     clinalg,
     sampling,
+)
+from biquat.errors import NotTriangularError
+from biquat.verify import (
+    cayley_hamilton_residual,
+    charpoly_coefficient_scale,
     scaling_exponent_probe,
     triangular_central_det,
 )

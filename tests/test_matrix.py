@@ -18,7 +18,6 @@ from biquat import (
     DimensionError,
     HalfRank,
     NotInvertibleError,
-    NotTriangularError,
     block_diagonal,
     clinalg,
     frame_reconstruct,
@@ -26,8 +25,9 @@ from biquat import (
     repr_factor,
     sampling,
     shuffle_permutations,
-    triangular_central_det,
 )
+from biquat.errors import NotTriangularError
+from biquat.verify import triangular_central_det
 from conftest import bq_close, mat_close, penrose_residual
 
 ZD = Biquaternion(1, 1j)  # zero divisor: weak norm 0

@@ -28,7 +28,13 @@ from biquat import (
     spectral,
 )
 from biquat.spectral import RegularEigenPair
-from conftest import bq_close, mat_close, merged_cluster_matrix, split_cluster_matrix
+from conftest import (
+    bq_close,
+    gaussian_jordan_conjugate,
+    mat_close,
+    merged_cluster_matrix,
+    split_cluster_matrix,
+)
 
 NULL_SCALAR = Biquaternion(0, 0, -0.5, 0.5j)  # block image [[0,1],[0,0]]
 
@@ -306,6 +312,16 @@ class TestDerivedEigenvalues:
         )
         with pytest.raises(InvalidPairError):
             derived_complex_eigenvalues(a, fake)
+
+    @pytest.mark.parametrize(
+        "a_shape, x_shape",
+        [((2, 3), (3, 1)), ((3, 3), (2, 1)), ((2, 2), (2, 2))],
+        ids=["non-square", "size-mismatch", "not-a-column"],
+    )
+    def test_rejects_mismatched_shapes(self, rng, a_shape, x_shape):
+        a, x = sampling.unit_matrix(rng, *a_shape), sampling.unit_matrix(rng, *x_shape)
+        with pytest.raises(DimensionError):
+            derived_complex_eigenvalues(a, RegularEigenPair(E1, x, 0.0))
 
     @pytest.mark.parametrize("k", [-12, -9, 0, 8, 12])
     def test_pair_gate_ignores_the_vector_scale(self, rng, k):
@@ -619,6 +635,29 @@ def computed(monkeypatch):
 
     monkeypatch.setattr(clinalg, "jordan_fingerprint", counted_fingerprint)
     return blocks
+
+
+class TestHconjSymmetry:
+    """block(X^H) = block(X)^H, so the Jordan structure of ``X.hconj()`` is
+    that of ``X`` at the conjugate eigenvalues."""
+
+    @staticmethod
+    def pairs_with_conjugates(x):
+        s, t = spectral.jordan_structure(x), spectral.jordan_structure(x.hconj())
+        conjugates = [(lam.conjugate(), weyr) for lam, weyr in s.clusters]
+        return clinalg.fingerprints_match(conjugates, t.clusters, clinalg.CLUSTER_TOL * max(s.scale, t.scale))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_clusters_pair_with_the_conjugates(self, seed):
+        rng = np.random.default_rng(seed)
+        assert self.pairs_with_conjugates(gaussian_jordan_conjugate(rng, (2, 1, 1)))
+        assert self.pairs_with_conjugates(sampling.unit_matrix(rng, 6, 6))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_size_3_blocks_pair_with_the_conjugates(self):
+        # J3 + J1 at two eigenvalues: eig scatters the cluster past
+        # CLUSTER_TOL, and the two sides are read differently
+        assert self.pairs_with_conjugates(gaussian_jordan_conjugate(np.random.default_rng(13), (3, 1)))
 
 
 class TestStructureReuse:

@@ -59,3 +59,24 @@ class TestVerifySuite:
         monkeypatch.setattr(clinalg, "fingerprints_match", lambda fa, fb, gap: True)
         report = verify_suite(seed=42, trials=20, size=size)
         assert [law.name for law in report.laws if not law.passed] == ["spectral.similarity-detection"]
+
+
+class TestLawHelpers:
+    HELPERS = (
+        "cayley_hamilton_residual",
+        "charpoly_coefficient_scale",
+        "scaling_exponent_probe",
+        "triangular_central_det",
+    )
+
+    def test_helpers_live_in_verify_not_in_the_package(self):
+        import biquat
+        import biquat.verify
+
+        for name in self.HELPERS:
+            assert callable(getattr(biquat.verify, name)), name
+            assert not hasattr(biquat, name), name
+            assert name not in biquat.__all__
+        assert not hasattr(biquat, "NotTriangularError")
+        assert "NotTriangularError" not in biquat.__all__
+        assert biquat.verify.NotTriangularError is biquat.errors.NotTriangularError
