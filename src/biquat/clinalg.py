@@ -15,9 +15,9 @@ Factorizations are delegated to LAPACK through ``numpy.linalg`` (and
 the characteristic polynomial uses the Faddeev-LeVerrier recursion, which is
 exact for integer-valued inputs at desk scale.  Jordan structure reads the
 eigenvalues of one copy of the matrix scaled by :func:`scaling_unit`, plus
-singular values of its Schur form without vectors for repeated clusters;
-Schur vectors are formed only for regular eigenpairs of spectra without two
-semisimple clusters (:func:`schur` with ``vectors=True``).
+singular values of the blocks ``ztrsen`` peels, repeated cluster by cluster,
+off one Schur form without vectors; Schur vectors are formed only for regular
+eigenpairs of spectra without two semisimple clusters (``vectors=True``).
 
 The routines take finite arrays: the library checks a value once, where it
 enters (:func:`finite`, through :func:`as_cmatrix` for a complex matrix and
@@ -26,7 +26,8 @@ or where a step can take it out of the float range.  Here that is every
 output that can overflow on finite input (determinant, pseudoinverse,
 characteristic polynomial, eigenpairs, Schur form and vectors), which
 :func:`within_range` turns into ``OverflowError``.
-A LAPACK failure to converge is ``ConvergenceError``, by :func:`_converged`.
+A LAPACK failure to converge is ``ConvergenceError``, by :func:`_converged`,
+as is a Jordan cluster whose nullities stop short of its size.
 """
 
 from __future__ import annotations
@@ -308,19 +309,20 @@ def jordan_fingerprint(a) -> JordanStructure:
     ``CLUSTER_TOL`` times the matrix scale are merged (Jordan structure is
     discontinuous, so this is a documented heuristic).  A cluster of one
     eigenvalue has Weyr characteristic ``(1,)`` and one block of size 1;
-    when every cluster is one, nothing more is computed.  A repeated cluster
-    is read off the leading block of one complex Schur form (no Schur vectors)
-    reordered to put as many Schur eigenvalues first as the cluster has, the
-    nearest ones, so no other eigenvalue enters its nullities: with ``b`` the
-    block minus ``lam*I`` and ``s`` its largest singular value, the k-th
-    nullity counts the singular values of ``b**k / s**(k-1)`` at most
-    ``DEFAULT_TOL`` times the scale, until it reaches the block's size or
-    stops growing; no power's norm exceeds ``s``.  No eigenvector, Schur
-    vector or singular vector is formed.
+    when every cluster is one, nothing more is computed.  Each repeated
+    cluster moves as many Schur eigenvalues as it has, the nearest ones, to
+    the top of what is left of one complex Schur form (no Schur vectors),
+    reads that leading block and leaves the rest to the next, so no other
+    eigenvalue enters its nullities: with ``b`` the block minus ``lam*I`` and
+    ``s`` its largest singular value, the k-th nullity counts the singular
+    values of ``b**k / s**(k-1)`` at most ``DEFAULT_TOL`` times the scale,
+    until it reaches the block's size or stops growing; no power's norm
+    exceeds ``s``.  No eigenvector, Schur vector or singular vector is formed.
 
     Raises:
         ConvergenceError: if a cluster's nullities are no Weyr characteristic
-            (see :func:`weyr_to_block_sizes`): the cluster is unresolved.
+            (see :func:`weyr_to_block_sizes`) or stop short of the block's
+            size: the cluster is unresolved.
         OverflowError: if the Frobenius norm or a scaled-back eigenvalue overflows.
     """
     m = _matrix(a)
@@ -339,18 +341,16 @@ def jordan_fingerprint(a) -> JordanStructure:
     from scipy.linalg import lapack  # ztrsen reorders the Schur form
 
     out, cutoff = [], DEFAULT_TOL * scale
-    t, _ = schur(m)
-    # Distances from each Schur eigenvalue to each eigenvalue.
-    apart = np.abs(t.diagonal()[:, None] - w)
+    t, _ = schur(m)  # each repeated cluster takes its block off the top
     for idx in clusters:
         if idx.size == 1:
             out.append((complex(lams[idx[0]]), (1,), _SIMPLE))
             continue
-        d = apart[:, idx].min(axis=1)
+        d = np.abs(t.diagonal()[:, None] - w[idx]).min(axis=1)
         # With wantq=0, ztrsen reads no Schur vectors; t stands in for them.
-        tk, _, _, k, *_ = lapack.ztrsen(d <= np.sort(d)[idx.size - 1], t, t, job="N", wantq=0)
+        t, _, _, k, *_ = lapack.ztrsen(d <= np.sort(d)[idx.size - 1], t, t, job="N", wantq=0)
         mean = complex(w[idx].sum() / idx.size)
-        shifted = tk[:k, :k] - mean * np.eye(k)
+        shifted, t = t[:k, :k] - mean * np.eye(k), t[k:, k:]
         s = singular_values(shifted)
         weyr = [int(np.count_nonzero(s <= cutoff))]
         power = shifted
@@ -361,6 +361,8 @@ def jordan_fingerprint(a) -> JordanStructure:
                 break
             weyr.append(nullity)
         blocks = weyr_to_block_sizes(tuple(weyr))  # raises unless weyr is a Weyr characteristic
+        if weyr[-1] < k:
+            raise ConvergenceError(f"nullities {tuple(weyr)} stop short of {k}: Jordan structure not resolved")
         out.append((complex(mean.real / unit, mean.imag / unit), tuple(weyr), tuple(blocks.items())))
     out.sort(key=lambda c: (c[0].real, c[0].imag))
     return JordanStructure(tuple((lam, weyr) for lam, weyr, _ in out), tuple(b for *_, b in out), norm)

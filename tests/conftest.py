@@ -76,6 +76,27 @@ def gaussian_jordan_conjugate(rng, blocks: tuple[int, ...]) -> BqMatrix:
     return u @ BqMatrix.from_complex(j) @ u_inv
 
 
+# Weyr characteristics of the block representation of mixed_cluster_matrices' X.
+MIXED_CLUSTERS = {1: (4, 6), -1: (4,), 2j: (2, 4), 3: (2,), -2j: (2,)}
+
+
+def mixed_cluster_matrices(seed: int) -> tuple[BqMatrix, BqMatrix, BqMatrix]:
+    """``X = U from_complex(J) U^-1`` at n = 9, a conjugate ``Q X Q^-1`` and
+    ``X`` with its J2(1) split into two J1(1) (the same spectrum), where
+    ``J = J2(1) + J1(1) + J1(-1) + J1(-1) + J2(2i) + (3) + (-2i)``: five
+    repeated clusters, of 6, 4, 4, 2 and 2 block eigenvalues
+    (:data:`MIXED_CLUSTERS`).  ``U`` and then ``Q`` are :func:`unimodular`
+    from ``default_rng(seed)``, so every product is exact."""
+    j = np.diag(np.array([1, 1, 1, -1, -1, 2j, 2j, 3, -2j]))
+    j[5, 6] = 1  # J2(2i)
+    split = j.copy()
+    j[0, 1] = 1  # J2(1)
+    rng = np.random.default_rng(seed)
+    (u, u_inv), (q, q_inv) = unimodular(rng, 9), unimodular(rng, 9)
+    x = u @ BqMatrix.from_complex(j) @ u_inv
+    return x, q @ x @ q_inv, u @ BqMatrix.from_complex(split) @ u_inv
+
+
 def split_cluster_matrix() -> BqMatrix:
     """U from_complex(J3(l1) + J1(l1) + J3(l2) + J1(l2)) U^-1 at n = 8.
 

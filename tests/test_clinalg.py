@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from biquat import clinalg, io
 from biquat.errors import ConvergenceError, DimensionError
-from conftest import OVERFLOWING_SPECTRUM, merged_cluster_matrix, split_cluster_matrix, time_bound
+from conftest import (
+    OVERFLOWING_SPECTRUM,
+    gaussian_jordan_conjugate,
+    merged_cluster_matrix,
+    mixed_cluster_matrices,
+    split_cluster_matrix,
+    time_bound,
+)
 
 I2 = np.eye(2)
 PAULI1 = np.array([[1j, 0], [0, -1j]])
@@ -355,6 +362,33 @@ class TestJordanFingerprint:
         assert three[1] == (2, 3) and five[1] == (1,)
         assert abs(three[0] - 3) <= 1e-14 and abs(five[0] - 5) <= 1e-14
 
+    def test_one_schur_form_reordered_once(self, monkeypatch):
+        # each repeated cluster is peeled off what the clusters before it
+        # left: ztrsen reorders 2n rows once, then ever fewer
+        from scipy.linalg import lapack
+
+        sizes, ztrsen = [], lapack.ztrsen
+
+        def recorded(select, t, *args, **kwargs):
+            sizes.append(t.shape[0])
+            return ztrsen(select, t, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, "ztrsen", recorded)
+        x, _, _ = mixed_cluster_matrices(0)
+        s = clinalg.jordan_fingerprint(x.block_repr())
+        assert len(s.clusters) == 5 and sizes == [18, 14, 10, 8, 2]
+
+    @pytest.mark.parametrize("blocks", [(3,), (3, 2)])
+    def test_structures_cover_every_eigenvalue(self, blocks):
+        # the blocks of a returned structure account for all 2n eigenvalues
+        for seed in range(200):
+            block = gaussian_jordan_conjugate(np.random.default_rng(seed), blocks).block_repr()
+            try:
+                s = clinalg.jordan_fingerprint(block)
+            except ConvergenceError:
+                continue
+            assert sum(size * count for sizes in s.blocks for size, count in sizes) == len(block)
+
     def test_overflowing_spectrum_is_refused(self):
         # a finite block whose eigenvalues and Frobenius norm exceed the float
         # range: the gap would be inf and every cluster one
@@ -386,13 +420,19 @@ class TestJordanFingerprint:
 
     @pytest.mark.parametrize(
         "matrix, message",
-        [(split_cluster_matrix, "first nullity of \\(0,\\) is 0"), (merged_cluster_matrix, "steps of \\(2, 6, 8\\) grow")],
-        ids=["split", "merged"],
+        [
+            (split_cluster_matrix, "first nullity of \\(0,\\) is 0"),
+            (merged_cluster_matrix, "steps of \\(2, 6, 8\\) grow"),
+            (lambda: gaussian_jordan_conjugate(np.random.default_rng(28), (3,)), "nullities \\(1,\\) stop short of 2"),
+        ],
+        ids=["split", "merged", "short"],
     )
     def test_unresolved_cluster_is_a_numerical_error(self, matrix, message):
-        # nullities that are no Weyr characteristic: an eigenvalue split
-        # past CLUSTER_TOL leaves clusters of first nullity 0, and separate
-        # eigenvalues merged into one cluster give growing steps
+        # nullities that are no Weyr characteristic or miss some of the
+        # cluster's eigenvalues: an eigenvalue split past CLUSTER_TOL leaves
+        # clusters of first nullity 0, separate eigenvalues merged into one
+        # cluster give growing steps, and two J3 split into clusters of two
+        # whose nullity stops at 1 would leave half their eigenvalues out
         with pytest.raises(ConvergenceError, match=message):
             clinalg.jordan_fingerprint(matrix().block_repr())
 

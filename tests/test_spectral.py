@@ -29,10 +29,12 @@ from biquat import (
 )
 from biquat.spectral import RegularEigenPair
 from conftest import (
+    MIXED_CLUSTERS,
     bq_close,
     gaussian_jordan_conjugate,
     mat_close,
     merged_cluster_matrix,
+    mixed_cluster_matrices,
     split_cluster_matrix,
 )
 
@@ -658,6 +660,21 @@ class TestHconjSymmetry:
         # J3 + J1 at two eigenvalues: eig scatters the cluster past
         # CLUSTER_TOL, and the two sides are read differently
         assert self.pairs_with_conjugates(gaussian_jordan_conjugate(np.random.default_rng(13), (3, 1)))
+
+
+class TestManyClusters:
+    """Five repeated clusters of mixed sizes, each read off what the ones
+    before it left of the Schur form."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_verdicts(self, seed):
+        x, conjugate, split = mixed_cluster_matrices(seed)
+        s = spectral.jordan_structure(x)
+        # paired, not compared in order: a +-0 real part swaps 2i and -2i
+        expected = [(complex(lam), weyr) for lam, weyr in MIXED_CLUSTERS.items()]
+        assert clinalg.fingerprints_match(s.clusters, expected, clinalg.CLUSTER_TOL * s.scale)
+        assert similar(x, conjugate) and not similar(x, split)
+        assert diagonalizable(x) and similar_to_complex(x)[0]
 
 
 class TestStructureReuse:
