@@ -21,12 +21,16 @@ print("e1 and e2 are similar scalars (both block images have spectrum {i, -i}):"
 print("  similar([e1], [e2]) =",
       similar(BqMatrix.from_entries([[E1]]), BqMatrix.from_entries([[E2]])))
 
-A = sampling.integer_matrix(rng, 3, 3)
-X = sampling.invertible_integer_matrix(rng, 3)
-B = X.inverse() @ A @ X
-print("\nrandom A vs its conjugate X^-1 A X:", similar(A, B))
-print("random A vs A + I (shifted spectrum):", similar(A, A + BqMatrix.identity(3)))
+# A known answer: A = P from_complex(J) P^-1 for a prescribed Jordan form J,
+# with P a Gaussian-integer matrix whose inverse is exact, so A is exact too.
+A, _, _, J = sampling.known_answer(rng, [(2 + 1j, 2), (2 + 1j, 1), (-1, 1)])
+Q, Q_inv = sampling.unimodular(rng, 4)
+print("\nA with J = J2(2+i) + J1(2+i) + J1(-1):\n", J)
+print("A vs its conjugate Q A Q^-1:", similar(A, Q @ A @ Q_inv))
+print("A vs A + I (shifted spectrum):", similar(A, A + BqMatrix.identity(4)))
 
+# The block representation doubles every Jordan block of J, so its
+# cumulative nullities at 2+i are (4, 6): four blocks, two of size 2.
 print("\nJordan fingerprint of the block representation of A:")
 for lam, weyr in clinalg.jordan_fingerprint(A.block_repr()).clusters:
     print(f"  eigenvalue {lam:+.4f}: Weyr sequence {weyr}")

@@ -4,7 +4,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from biquat import Biquaternion, BqMatrix, spectral
+from biquat import Biquaternion, BqMatrix, sampling, spectral
 
 
 def bq_close(a: Biquaternion, b: Biquaternion, tol: float = 1e-12) -> bool:
@@ -42,38 +42,15 @@ def merged_cluster_matrix() -> BqMatrix:
     return BqMatrix.from_complex(d @ j @ np.linalg.inv(d) * 1e21)
 
 
-def unimodular(rng, n: int) -> tuple[BqMatrix, BqMatrix]:
-    """``U = (I + N1)(I + N2)`` and ``U^-1 = (I - N2)(I - N1)``, exactly.
-
-    Each ``N`` has Gaussian-integer components from rows of one half of a
-    random permutation of ``range(n)`` to columns of the other, so
-    ``N @ N == 0``.
-    """
-    u = u_inv = BqMatrix.identity(n)
-    for _ in range(2):
-        perm = rng.permutation(n)
-        lo, hi = perm[: n // 2], perm[n // 2 :]
-        nil = np.zeros((4, n, n), dtype=complex)
-        re, im = rng.integers(-1, 2, (2, 4, hi.size))
-        nil[:, hi, rng.choice(lo, size=hi.size)] = re + 1j * im
-        u = u @ (BqMatrix.identity(n) + BqMatrix(nil))
-        u_inv = (BqMatrix.identity(n) - BqMatrix(nil)) @ u_inv
-    return u, u_inv
+def gaussian_pair(rng) -> np.ndarray:
+    """Two distinct nonzero Gaussian integers in ``[-2, 2] + [-2, 2]i``."""
+    grid = [complex(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
+    return np.array(grid)[rng.choice(len(grid), size=2, replace=False)]
 
 
 def gaussian_jordan_conjugate(rng, blocks: tuple[int, ...]) -> BqMatrix:
-    """``U from_complex(J) U^-1`` with :func:`unimodular` ``U``, where ``J``
-    has Jordan blocks of sizes ``blocks`` at each of two distinct nonzero
-    Gaussian integers in ``[-2, 2] + [-2, 2]i``."""
-    grid = [complex(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
-    pair = np.array(grid)[rng.choice(len(grid), size=2, replace=False)]
-    sizes = list(blocks) * 2
-    n = sum(sizes)
-    ones = np.ones(n - 1)
-    ones[np.cumsum(sizes)[:-1] - 1] = 0  # no coupling across a block's end
-    j = np.diag(np.repeat(pair, sum(blocks))) + np.diag(ones, 1)
-    u, u_inv = unimodular(rng, n)
-    return u @ BqMatrix.from_complex(j) @ u_inv
+    """The known-answer ``X`` with blocks of sizes ``blocks`` at each of a :func:`gaussian_pair`."""
+    return sampling.known_answer(rng, [(lam, size) for lam in gaussian_pair(rng) for size in blocks])[0]
 
 
 # Weyr characteristics of the block representation of mixed_cluster_matrices' X.
@@ -84,17 +61,13 @@ def mixed_cluster_matrices(seed: int) -> tuple[BqMatrix, BqMatrix, BqMatrix]:
     """``X = U from_complex(J) U^-1`` at n = 9, a conjugate ``Q X Q^-1`` and
     ``X`` with its J2(1) split into two J1(1) (the same spectrum), where
     ``J = J2(1) + J1(1) + J1(-1) + J1(-1) + J2(2i) + (3) + (-2i)``: five
-    repeated clusters, of 6, 4, 4, 2 and 2 block eigenvalues
-    (:data:`MIXED_CLUSTERS`).  ``U`` and then ``Q`` are :func:`unimodular`
-    from ``default_rng(seed)``, so every product is exact."""
-    j = np.diag(np.array([1, 1, 1, -1, -1, 2j, 2j, 3, -2j]))
-    j[5, 6] = 1  # J2(2i)
-    split = j.copy()
-    j[0, 1] = 1  # J2(1)
+    repeated clusters (:data:`MIXED_CLUSTERS`).  ``U`` and then ``Q`` are
+    :func:`biquat.sampling.unimodular` from ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    (u, u_inv), (q, q_inv) = unimodular(rng, 9), unimodular(rng, 9)
-    x = u @ BqMatrix.from_complex(j) @ u_inv
-    return x, q @ x @ q_inv, u @ BqMatrix.from_complex(split) @ u_inv
+    x, u, u_inv, j = sampling.known_answer(rng, [(1, 2), (1, 1), (-1, 1), (-1, 1), (2j, 2), (3, 1), (-2j, 1)])
+    q, q_inv = sampling.unimodular(rng, 9)
+    j[0, 1] = 0  # J2(1) split into two J1(1)
+    return x, q @ x @ q_inv, u @ BqMatrix.from_complex(j) @ u_inv
 
 
 def split_cluster_matrix() -> BqMatrix:

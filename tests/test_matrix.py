@@ -104,6 +104,16 @@ class TestConstruction:
         assert sub.shape == (2, 2)
         assert sub.entry(0, 0) == a.entry(0, 1)
         assert a[:, 2:3].shape == (3, 1)
+        assert a[1, 0:2] == BqMatrix.from_entries([[a.entry(1, 0), a.entry(1, 1)]])
+        assert a[0:2, 2] == BqMatrix.from_entries([[a.entry(0, 2)], [a.entry(1, 2)]])
+
+    def test_str(self):
+        # a row per line, each entry in the scalar text form
+        zero = "(0.0+0.0i)"
+        assert str(BqMatrix.from_entries([[1, E1], [0, 2j]])) == (
+            f"[[(1.0+0.0i) + {zero}e1 + {zero}e2 + {zero}e3, {zero} + (1.0+0.0i)e1 + {zero}e2 + {zero}e3],\n"
+            f" [{zero} + {zero}e1 + {zero}e2 + {zero}e3, (0.0+2.0i) + {zero}e1 + {zero}e2 + {zero}e3]]"
+        )
 
 
 class TestArithmetic:

@@ -523,8 +523,8 @@ class TestScaleFree:
 
 class TestTextForm:
     def test_render(self):
-        text = format_biquaternion(Biquaternion(1, 2j, -3, 0.5 + 0.5j))
-        assert text == "(1.0+0.0i) + (0.0+2.0i)e1 + (-3.0+0.0i)e2 + (0.5+0.5i)e3"
+        a = Biquaternion(1, 2j, -3, 0.5 + 0.5j)
+        assert format_biquaternion(a) == str(a) == "(1.0+0.0i) + (0.0+2.0i)e1 + (-3.0+0.0i)e2 + (0.5+0.5i)e3"
 
     def test_render_digits_folds_negative_zero(self):
         assert format_complex(complex(-0.0, -0.0), 17) == "0+0i"
@@ -547,6 +547,10 @@ class TestValueSemantics:
 
     def test_hashable(self):
         assert len({ONE, E1, E1}) == 2
+
+    def test_truth_is_a_nonzero_component(self):
+        assert not Biquaternion() and not Biquaternion(-0.0, complex(0.0, -0.0))
+        assert E3 and Biquaternion(0, 0, 0, 1e-310j)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -236,6 +236,26 @@ class TestRegularEigenpairPaths:
         assert pair.residual <= 4 * 2 * n * np.finfo(float).eps * a.norm() * pair.vector.norm()
         assert len(derived_complex_eigenvalues(a, pair)) == 2  # the rank rule's pair gate
 
+    def test_eigenvector_pair_over_its_bound_gives_way(self, monkeypatch):
+        # two semisimple clusters, but rows 1e10 apart in scale leave the
+        # inverse-iteration pair over its residual bound: the Schur pair
+        # replaces it
+        top = 1e5 * np.array([[3 - 2j, 1 + 1j], [3, -1], [-1 + 1j, 2 + 3j], [1 + 3j, 1]])
+        bot = 1e-5 * np.array([[3 + 3j, -3], [-3 + 2j, 3], [-1 - 1j, 1], [-2 + 3j, 1 - 2j]])
+        a = BqMatrix(np.stack([top, bot], axis=1))
+        assert sum(len(weyr) == 1 for _, weyr in spectral.jordan_structure(a).clusters) >= 2
+        calls, schur = [], clinalg.schur
+
+        def recorded(rep, vectors=False):
+            calls.append(vectors)
+            return schur(rep, vectors)
+
+        monkeypatch.setattr(clinalg, "schur", recorded)
+        pair = regular_right_eigenpair(a)
+        assert calls == [True]
+        assert pair.vector.rank().twice_rank == 2
+        assert len(derived_complex_eigenvalues(a, pair)) == 2
+
     @pytest.mark.parametrize(
         "a",
         [
@@ -482,16 +502,11 @@ class TestDiagonalizable:
 
 @pytest.mark.parametrize("k", [-300, -150, 150, 300])
 def test_verdicts_on_an_exact_input_are_scale_free(k):
-    # J2(3) + J1(3) + J1(-2+2i), conjugated by I + N and then I + M, where N
-    # (in column 3) and M (in row 3) square to zero: both inverses are exact
-    j = np.diag([3, 3, 3, -2 + 2j])
-    j[0, 1] = 1
-    n, m = np.zeros((2, 4, 4, 4), dtype=complex)
-    n[[0, 1, 2, 3], [0, 1, 2, 0], 3] = [1 + 1j, -1, 1j, 2]
-    m[[0, 3, 1, 2], 3, [0, 1, 2, 2]] = [1, 1 - 1j, 2, -1j]
-    eye = BqMatrix.identity(4)
-    x = (eye + BqMatrix(n)) @ BqMatrix.from_complex(j) @ (eye - BqMatrix(n))
-    y = (eye + BqMatrix(m)) @ x @ (eye - BqMatrix(m))
+    # J2(3) + J1(3) + J1(-2+2i) and a conjugate, both exact
+    rng = np.random.default_rng(0)
+    x = sampling.known_answer(rng, [(3, 2), (3, 1), (-2 + 2j, 1)])[0]
+    q, q_inv = sampling.unimodular(rng, 4)
+    y = q @ x @ q_inv
 
     def verdicts(c):
         return similar(x * c, y * c), diagonalizable(x * c), similar_to_complex(x * c)[0]
